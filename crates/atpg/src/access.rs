@@ -12,6 +12,7 @@
 //! * **pinned nodes** — test-mode configuration inputs (e.g. a `test_en`
 //!   signal) frozen to a constant in every pattern.
 
+use prebond3d_dataflow::AccessView;
 use prebond3d_netlist::{BitSet, GateId, GateKind, Netlist};
 
 /// Test access description for one netlist.
@@ -138,6 +139,18 @@ impl TestAccess {
     pub fn width(&self) -> usize {
         self.controllable.len()
     }
+
+    /// The per-net view the SCOAP scoring pass reads: a net is
+    /// controllable when it has a pattern bit (pinned nodes included) and
+    /// observed when the tester compares it.
+    pub fn view(&self) -> AccessView {
+        AccessView {
+            controllable: self.control_rank.iter().map(Option::is_some).collect(),
+            observed: (0..self.control_rank.len())
+                .map(|i| self.observed_set.contains(i))
+                .collect(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -194,6 +207,60 @@ mod tests {
         let n = die();
         let mut acc = TestAccess::full_scan(&n);
         acc.pin(n.find("ti").unwrap(), true);
+    }
+
+    /// SCOAP under a custom access model: a pinned `test_en`, an unscanned
+    /// flip-flop and an unwrapped outbound TSV, measures computed by hand.
+    #[test]
+    fn view_drives_scoap_under_a_custom_access_model() {
+        use prebond3d_dataflow::scoring::{Scores, INF};
+        let mut b = NetlistBuilder::new("t");
+        let a = b.input("a");
+        let te = b.input("test_en");
+        let m = b.gate(GateKind::And, &[a, te], "m");
+        let q = b.dff(m, "q"); // unscanned: uncontrollable, captures nothing
+        let g = b.gate(GateKind::Or, &[q, a], "g");
+        b.output(g, "o");
+        let h = b.gate(GateKind::Not, &[m], "h");
+        b.tsv_out(h, "to"); // unwrapped: observes nothing
+        let p = b.gate(GateKind::Nand, &[a, te], "p");
+        b.output(p, "op");
+        let n = b.finish().unwrap();
+        let mut acc = TestAccess::full_scan(&n);
+        acc.pin(te, true);
+        let view = acc.view();
+        assert!(
+            view.controllable[te.index()],
+            "pinned inputs keep their bit"
+        );
+        assert!(!view.controllable[q.index()]);
+        assert!(view.observed[g.index()]);
+        assert!(!view.observed[m.index()] && !view.observed[h.index()]);
+
+        let s = Scores::compute(&n, &view);
+        let cc = |id: GateId| (s.cc0[id.index()], s.cc1[id.index()]);
+        assert_eq!(cc(a), (1, 1));
+        assert_eq!(cc(te), (1, 1));
+        assert_eq!(cc(q), (INF, INF));
+        // m = a & test_en: cc0 = min(1, 1) + 1, cc1 = 1 + 1 + 1.
+        assert_eq!(cc(m), (2, 3));
+        // h = !m swaps m's costs, plus one.
+        assert_eq!(cc(h), (4, 3));
+        // g = q | a: cc0 needs q = 0 (INF); cc1 = min(INF, 1) + 1.
+        assert_eq!(cc(g), (INF, 2));
+        // p = !(a & test_en): cc0 = 1 + 1 + 1, cc1 = min(1, 1) + 1.
+        assert_eq!(cc(p), (3, 2));
+        assert_eq!(s.co[g.index()], 0);
+        assert_eq!(s.co[p.index()], 0);
+        // m's only observers are the unscanned Dff and the unwrapped TSV.
+        assert_eq!(s.co[m.index()], INF);
+        assert_eq!(s.co[h.index()], INF);
+        // a through g needs q = 0 (INF); through p it needs test_en = 1:
+        // co = 0 + cc1(test_en) + 1. Symmetrically for test_en.
+        assert_eq!(s.co[a.index()], 2);
+        assert_eq!(s.co[te.index()], 2);
+        assert_eq!(s.detect_cost(m, true), INF);
+        assert_eq!(s.detect_cost(a, false), 3);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! is the classic static-compaction pass commercial ATPG runs alongside
 //! the reverse-order (dynamic) compaction the engine always applies.
 
-use crate::logic::V3;
+use prebond3d_netlist::V3;
 
 /// `true` if two cubes agree on every mutually specified bit.
 pub fn compatible(a: &[V3], b: &[V3]) -> bool {
@@ -101,14 +101,14 @@ mod tests {
         use crate::fault::FaultList;
         use crate::faultsim::FaultSimulator;
         use crate::podem::{Podem, PodemConfig, PodemOutcome};
-        use crate::scoap::Scoap;
         use crate::sim::Pattern;
         use crate::TestAccess;
+        use prebond3d_dataflow::Scores;
         use prebond3d_netlist::itc99;
 
         let die = itc99::generate_flat("compact", 150, 12, 6, 6, 21);
         let access = TestAccess::full_scan(&die);
-        let scoap = Scoap::compute(&die, &access);
+        let scoap = Scores::compute(&die, &access.view());
         let mut podem = Podem::new(&die, &access, &scoap, PodemConfig::default());
         let list = FaultList::collapsed(&die);
 

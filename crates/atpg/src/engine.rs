@@ -19,13 +19,13 @@ use prebond3d_obs as obs;
 use prebond3d_resilience::{degrade, Deadline};
 use prebond3d_rng::StdRng;
 
-use prebond3d_netlist::Netlist;
+use prebond3d_dataflow::scoring::{Scores, INF};
+use prebond3d_netlist::{Netlist, V3};
 
 use crate::access::TestAccess;
 use crate::fault::FaultList;
 use crate::faultsim::FaultSimulator;
 use crate::podem::{Podem, PodemConfig, PodemOutcome};
-use crate::scoap::Scoap;
 use crate::sim::Pattern;
 use crate::transition::{self, TransitionFault};
 
@@ -144,11 +144,10 @@ impl AtpgResult {
 /// path from the propagation root to any observation point). Both SCOAP
 /// saturations are sound proofs under the access model.
 pub(crate) fn scoap_untestable(
-    scoap: &Scoap,
+    scoap: &Scores,
     netlist: &Netlist,
     fault: crate::fault::Fault,
 ) -> bool {
-    use crate::scoap::INF;
     let driver = fault.site.driver(netlist);
     let cc = if fault.stuck.excitation() {
         scoap.cc1[driver.index()]
@@ -236,7 +235,7 @@ pub fn run_stuck_at_on(
     if !podem_config.deadline.is_armed() {
         podem_config.deadline = deadline;
     }
-    let scoap = Scoap::compute(netlist, access);
+    let scoap = Scores::compute(netlist, &access.view());
     let mut alive = vec![true; list.len()];
     let mut untestable = 0usize;
     // --- Static pruning (DESIGN.md §14) ------------------------------------
@@ -375,7 +374,7 @@ pub fn run_stuck_at_on(
                 let mut pattern = Pattern::from_v3(&cube, false);
                 // Random-fill don't-cares for opportunistic detection.
                 for (rank, bit) in pattern.bits.iter_mut().enumerate() {
-                    if cube[rank] == crate::logic::V3::X {
+                    if cube[rank] == V3::X {
                         *bit = rng.gen();
                     }
                 }
@@ -539,7 +538,7 @@ pub fn run_transition(netlist: &Netlist, access: &TestAccess, config: &AtpgConfi
 
     // --- Deterministic: v1 justifies the initial value, v2 is the
     // stuck-at launch test.
-    let scoap = Scoap::compute(netlist, access);
+    let scoap = Scores::compute(netlist, &access.view());
     let mut podem = Podem::new(netlist, access, &scoap, podem_config);
     let mut untestable = 0usize;
     let mut aborted = 0usize;
@@ -594,10 +593,10 @@ pub fn run_transition(netlist: &Netlist, access: &TestAccess, config: &AtpgConfi
                 continue;
             }
         };
-        let fill = |cube: &[crate::logic::V3], rng: &mut StdRng| {
+        let fill = |cube: &[V3], rng: &mut StdRng| {
             let mut p = Pattern::from_v3(cube, false);
             for (rank, bit) in p.bits.iter_mut().enumerate() {
-                if cube[rank] == crate::logic::V3::X {
+                if cube[rank] == V3::X {
                     *bit = rng.gen();
                 }
             }

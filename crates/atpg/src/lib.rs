@@ -5,20 +5,19 @@
 //!
 //! The engine is a classical full-scan combinational ATPG stack:
 //!
-//! * [`logic`] — three-valued (0/1/X) scalar logic and 64-way bit-parallel
-//!   two-valued logic,
 //! * [`access`] — the *test access model*: which nodes a pre-bond tester
 //!   can control and observe (scan flip-flops and wrapper cells yes,
 //!   floating TSV endpoints no),
 //! * [`fault`] — single stuck-at faults on gate outputs and fanout
 //!   branches, with structural equivalence collapsing,
-//! * [`scoap`] — SCOAP controllability/observability measures, used both
-//!   for PODEM guidance and as the cheap testability estimate,
-//! * [`sim`] — bit-parallel good-machine simulation,
+//! * [`sim`] — bit-parallel three-valued good-machine simulation over the
+//!   dual-rail encoding, checked against the scalar
+//!   [`prebond3d_netlist::eval_v3`] truth table,
 //! * [`faultsim`] — parallel-pattern single-fault propagation (PPSFP)
 //!   restricted to each fault's fanout cone,
 //! * [`podem`] — PODEM deterministic test generation with X-path checking
-//!   and backtrack limits,
+//!   and backtrack limits, guided by the `prebond3d-dataflow` SCOAP
+//!   measures read through [`TestAccess::view`],
 //! * [`prune`] — static untestable-fault pruning from the
 //!   `prebond3d-dataflow` certificates (skips cone resimulations while
 //!   keeping every result byte-identical to the unpruned reference),
@@ -51,10 +50,8 @@ pub mod diagnosis;
 pub mod engine;
 pub mod fault;
 pub mod faultsim;
-pub mod logic;
 pub mod podem;
 pub mod prune;
-pub mod scoap;
 pub mod sim;
 pub mod transition;
 
@@ -62,5 +59,5 @@ pub use access::TestAccess;
 pub use diagnosis::{FaultDictionary, Signature};
 pub use engine::{AtpgConfig, AtpgResult};
 pub use fault::{Fault, FaultList, FaultSite, StuckAt};
-pub use logic::V3;
+pub use prebond3d_netlist::V3;
 pub use sim::{Lanes, Pattern, SimError};

@@ -7,14 +7,13 @@
 //! limit bounds worst-case effort; aborted faults are reported as such so
 //! coverage accounting can distinguish *undetectable* from *unresolved*.
 
-use prebond3d_netlist::{GateId, GateKind, Netlist};
+use prebond3d_dataflow::scoring::{Scores, INF};
+use prebond3d_netlist::{eval_v3, GateId, GateKind, Netlist, V3};
 use prebond3d_obs as obs;
 use prebond3d_resilience::Deadline;
 
 use crate::access::TestAccess;
 use crate::fault::{Fault, FaultSite};
-use crate::logic::{eval_v3, V3};
-use crate::scoap::{Scoap, INF};
 
 /// PODEM search limits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +52,7 @@ pub enum PodemOutcome {
 pub struct Podem<'a> {
     netlist: &'a Netlist,
     access: &'a TestAccess,
-    scoap: &'a Scoap,
+    scoap: &'a Scores,
     order: Vec<GateId>,
     config: PodemConfig,
     // Scratch, reused across faults:
@@ -67,7 +66,7 @@ impl<'a> Podem<'a> {
     pub fn new(
         netlist: &'a Netlist,
         access: &'a TestAccess,
-        scoap: &'a Scoap,
+        scoap: &'a Scores,
         config: PodemConfig,
     ) -> Self {
         Podem {
@@ -660,9 +659,9 @@ mod tests {
     use crate::fault::StuckAt;
     use prebond3d_netlist::NetlistBuilder;
 
-    fn engine_parts(n: &Netlist) -> (TestAccess, Scoap) {
+    fn engine_parts(n: &Netlist) -> (TestAccess, Scores) {
         let acc = TestAccess::full_scan(n);
-        let scoap = Scoap::compute(n, &acc);
+        let scoap = Scores::compute(n, &acc.view());
         (acc, scoap)
     }
 
@@ -750,7 +749,7 @@ mod tests {
 
         let die = itc99::generate_flat("d", 150, 12, 6, 6, 21);
         let acc = TestAccess::full_scan(&die);
-        let scoap = Scoap::compute(&die, &acc);
+        let scoap = Scores::compute(&die, &acc.view());
         let list = FaultList::collapsed(&die);
         let mut podem = Podem::new(&die, &acc, &scoap, PodemConfig::default());
         let mut fs = FaultSimulator::new(&die);

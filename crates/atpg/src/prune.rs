@@ -23,13 +23,12 @@
 //! while every pattern, coverage number and untestable count stays
 //! byte-identical to the `PREBOND3D_NO_CACHE=1` reference.
 
-use prebond3d_dataflow::{reach, Constants, SourceModel, ValueSet};
+use prebond3d_dataflow::{reach, Constants, Scores, SourceModel, ValueSet};
 use prebond3d_netlist::{GateKind, Netlist};
 
 use crate::access::TestAccess;
 use crate::engine::scoap_untestable;
 use crate::fault::{Fault, FaultSite};
-use crate::scoap::Scoap;
 
 /// The access-faithful dataflow facts one stuck-at pruning pass needs.
 #[derive(Debug, Clone)]
@@ -132,7 +131,7 @@ impl PruneAnalysis {
 /// byte-identity of every downstream artifact).
 pub fn prune_mask(
     analysis: &PruneAnalysis,
-    scoap: &Scoap,
+    scoap: &Scores,
     netlist: &Netlist,
     access: &TestAccess,
     faults: &[Fault],
@@ -167,7 +166,7 @@ mod tests {
         // sa1 needs good = 0: always excited, never pruned on excitation.
         assert!(!analysis.unexcitable(&n, Fault::output(g, StuckAt::One)));
         // And the SCOAP screen agrees, so sa0 is actually prunable.
-        let scoap = Scoap::compute(&n, &access);
+        let scoap = Scores::compute(&n, &access.view());
         let mask = prune_mask(
             &analysis,
             &scoap,
@@ -232,7 +231,7 @@ mod tests {
         let access = TestAccess::full_scan(&die);
         let list = FaultList::collapsed(&die);
         let analysis = PruneAnalysis::new(&die, &access);
-        let scoap = Scoap::compute(&die, &access);
+        let scoap = Scores::compute(&die, &access.view());
         let mask = prune_mask(&analysis, &scoap, &die, &access, &list.faults);
         let pruned: Vec<Fault> = list
             .faults
@@ -263,21 +262,5 @@ mod tests {
                 "a statically-pruned fault was detected by simulation"
             );
         }
-    }
-
-    /// The dataflow crate's SCOAP mirror must agree measure-for-measure
-    /// with the ATPG engine's own `Scoap` under the same access view
-    /// (this is the formula-alignment contract `prebond3d-dataflow`
-    /// documents).
-    #[test]
-    fn dataflow_scores_match_engine_scoap() {
-        let die = itc99::generate_flat("s", 250, 12, 5, 5, 13);
-        let access = TestAccess::full_scan(&die);
-        let scoap = Scoap::compute(&die, &access);
-        let view = prebond3d_dataflow::AccessView::pre_bond(&die);
-        let scores = prebond3d_dataflow::Scores::compute(&die, &view);
-        assert_eq!(scoap.cc0, scores.cc0);
-        assert_eq!(scoap.cc1, scores.cc1);
-        assert_eq!(scoap.co, scores.co);
     }
 }

@@ -12,10 +12,9 @@
 use std::fmt;
 use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, Not};
 
-use prebond3d_netlist::{traverse, GateId, GateKind, Netlist};
+use prebond3d_netlist::{traverse, GateId, GateKind, Netlist, V3};
 
 use crate::access::TestAccess;
-use crate::logic::V3;
 
 /// A bundle of `W` pattern lanes: bitwise SIMD words the simulator's
 /// dual-rail algebra runs over unchanged at any width.
@@ -422,7 +421,7 @@ mod tests {
 
     #[test]
     fn rail_eval_matches_scalar_v3() {
-        use crate::logic::eval_v3;
+        use prebond3d_netlist::eval_v3;
         let vals = [V3::Zero, V3::One, V3::X];
         let to_rail = |v: V3| -> Rail {
             match v {

@@ -33,13 +33,12 @@ use prebond3d_obs::json::Value;
 /// serving loadgen's miss counter (`BENCH_serve.json`): a cold rebuild
 /// that should have been a warm hit is a regression, while hit/eviction
 /// rows stay informational (more hits is *better*).
-pub const GATED_COUNTERS: [&str; 6] = [
+pub const GATED_COUNTERS: [&str; 5] = [
     "atpg.gate_evals",
     "atpg.pattern_batches",
     "graph.cone_word_ops",
     "clique.candidate_rescores",
     "serve.cache_misses",
-    "sta.node_retimes",
 ];
 
 /// Deterministic counters whose *shrink* fails the gate: they measure

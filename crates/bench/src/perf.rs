@@ -26,7 +26,7 @@ use prebond3d_atpg::fault::FaultList;
 use prebond3d_atpg::faultsim::FaultSimulator;
 use prebond3d_atpg::sim::Pattern;
 use prebond3d_atpg::{AtpgConfig, TestAccess};
-use prebond3d_celllib::{Capacitance, Library};
+use prebond3d_celllib::Library;
 use prebond3d_netlist::cone::ConeSet;
 use prebond3d_netlist::{itc99, tuning, GateId};
 use prebond3d_obs as obs;
@@ -34,7 +34,7 @@ use prebond3d_place::{place, PlaceConfig};
 use prebond3d_pool as pool;
 use prebond3d_rng::StdRng;
 use prebond3d_sta::whatif::ReuseKind;
-use prebond3d_sta::{analyze, analyze_with_extra_loads, StaAnalysis, StaConfig};
+use prebond3d_sta::{analyze, StaConfig};
 use prebond3d_wcm::testability::{AtpgProbe, TestabilityProbe};
 use prebond3d_wcm::{clique, graph, MergePolicy, StructuralProbe, Thresholds, TimingModel};
 
@@ -419,68 +419,12 @@ fn work_probe(circuits: &[&str]) {
         opt_rescores,
     );
 
-    // --- Incremental STA what-if probe -----------------------------------
-    // A seeded sweep of single-net extra-load queries on the largest
-    // substrate: the reference prices each query with a from-scratch
-    // analysis (3n node visits per query), the optimized path keeps one
-    // live `StaAnalysis` and retimes only the frontier. The reports must
-    // be bitwise-identical per query.
-    let sta_config = StaConfig::relaxed();
-    let mut rng = StdRng::seed_from_u64(0x57A7_1C4E);
-    let queries: Vec<(GateId, Capacitance)> = (0..6)
-        .map(|_| {
-            (
-                GateId(rng.gen_range(0..netlist.len() as u32)),
-                Capacitance(rng.gen_range(1u32..40) as f64 / 4.0),
-            )
-        })
-        .collect();
-    let (ref_reports, ref_snap) = obs::capture(|| {
-        queries
-            .iter()
-            .map(|&(id, c)| {
-                analyze_with_extra_loads(
-                    &netlist,
-                    &placement,
-                    &library,
-                    &sta_config,
-                    &[],
-                    &[(id, c)],
-                )
-            })
-            .collect::<Vec<_>>()
-    });
-    let ref_visits = ref_snap.counter("sta.nodes_visited");
-    let (opt_reports, opt_snap) = obs::capture(|| {
-        let mut inc = StaAnalysis::new(&netlist, &placement, &library, &sta_config, &[]);
-        queries
-            .iter()
-            .map(|&(id, c)| {
-                inc.set_extra_load(id, c);
-                let report = inc.report();
-                inc.set_extra_load(id, Capacitance::ZERO);
-                report
-            })
-            .collect::<Vec<_>>()
-    });
-    assert_eq!(
-        ref_reports, opt_reports,
-        "incremental what-if timing must match the full-recompute oracle bitwise"
-    );
-    let node_retimes = opt_snap.counter("sta.node_retimes");
-    assert!(
-        node_retimes < ref_visits,
-        "frontier retimes ({node_retimes}) must undercut full recomputes ({ref_visits})"
-    );
-    report::record_work("sta.node_retimes", &substrate, ref_visits, node_retimes);
-
     // Re-emit the optimized-mode counters into the run report (the
     // captures above kept them out of the experiment's collector), so
     // `run_perf.json` carries the cache hit/miss counters in a section.
     report::die_scope(&format!("{substrate} work probe"), || {
         obs::count("graph.cone_word_ops", opt_word_ops);
         obs::count("clique.candidate_rescores", opt_rescores);
-        obs::count("sta.node_retimes", node_retimes);
         if let Some((_, _, optimized, lanes)) = &atpg {
             obs::count("atpg.gate_evals", optimized.gate_evals + lanes.gate_evals);
             obs::count("atpg.pattern_batches", lanes.pattern_batches);

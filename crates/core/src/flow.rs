@@ -244,16 +244,22 @@ pub fn calibrate_tight_period(
         message: e.to_string(),
     })?;
     let p = wrapped.placement_for(placement);
+    Ok(tight_period(&wrapped, &p, library))
+}
+
+/// [`calibrate_tight_period`] on an already-built all-dedicated die and
+/// its extended placement.
+fn tight_period(dedicated: &TestableDie, placement: &Placement, library: &Library) -> Time {
     let relaxed = StaConfig::relaxed();
     let report = prebond3d_sta::analysis::analyze_with_statics(
-        &wrapped.netlist,
-        &p,
+        &dedicated.netlist,
+        placement,
         library,
         &relaxed,
-        &[wrapped.test_en],
+        &[dedicated.test_en],
     );
     let critical = relaxed.clock_period - report.wns;
-    Ok(critical * 1.005)
+    critical * 1.005
 }
 
 /// Execute the flow.
@@ -310,15 +316,7 @@ pub fn run_flow_with_probe(
         Scenario::Area => StaConfig::relaxed().clock_period,
         Scenario::Tight => {
             let _s = obs::span("calibrate");
-            let relaxed = StaConfig::relaxed();
-            let r = prebond3d_sta::analysis::analyze_with_statics(
-                &dedicated.netlist,
-                &dedicated_placement,
-                library,
-                &relaxed,
-                &[dedicated.test_en],
-            );
-            (relaxed.clock_period - r.wns) * 1.005
+            tight_period(&dedicated, &dedicated_placement, library)
         }
     };
     let sta = StaConfig::with_period(clock);

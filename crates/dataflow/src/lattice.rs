@@ -6,98 +6,15 @@
 //! simulator: if a concrete pattern produces value `v` on a net, `v` is a
 //! member of the net's [`ValueSet`]. Transfer functions are computed as
 //! the *image* of the scalar ternary gate evaluation over the cartesian
-//! product of the input sets, so they are both sound and as precise as a
-//! correlation-free abstraction can be.
+//! product of the input sets (through the one scalar evaluator,
+//! [`prebond3d_netlist::eval_v3`]), so they are both sound and as precise
+//! as a correlation-free abstraction can be.
 //!
 //! The join is set union; the bottom element is the empty set (used as the
 //! initial fact for combinational nets before their drivers stabilize).
 //! Lattice height per net is 3, which bounds fixpoint iteration.
 
-use prebond3d_netlist::GateKind;
-
-/// A scalar three-valued logic value, mirroring the simulator's dual-rail
-/// encoding one bit at a time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Tv {
-    /// Known logic 0.
-    Zero,
-    /// Known logic 1.
-    One,
-    /// Unknown.
-    X,
-}
-
-impl Tv {
-    /// Build from a known boolean.
-    pub fn from_bool(v: bool) -> Tv {
-        if v {
-            Tv::One
-        } else {
-            Tv::Zero
-        }
-    }
-}
-
-/// Scalar ternary gate evaluation, bit-for-bit equivalent to the rail
-/// evaluation used by the fault simulator (`eval_rail` in `prebond3d-atpg`
-/// evaluates exactly this function on each of its 64 lanes).
-pub fn eval_tv(kind: GateKind, inputs: &[Tv]) -> Tv {
-    use Tv::{One, Zero, X};
-    match kind {
-        GateKind::Buf | GateKind::Output | GateKind::TsvOut => inputs[0],
-        GateKind::Not => match inputs[0] {
-            Zero => One,
-            One => Zero,
-            X => X,
-        },
-        GateKind::And => match (inputs[0], inputs[1]) {
-            (Zero, _) | (_, Zero) => Zero,
-            (One, One) => One,
-            _ => X,
-        },
-        GateKind::Or => match (inputs[0], inputs[1]) {
-            (One, _) | (_, One) => One,
-            (Zero, Zero) => Zero,
-            _ => X,
-        },
-        GateKind::Nand => match (inputs[0], inputs[1]) {
-            (Zero, _) | (_, Zero) => One,
-            (One, One) => Zero,
-            _ => X,
-        },
-        GateKind::Nor => match (inputs[0], inputs[1]) {
-            (One, _) | (_, One) => Zero,
-            (Zero, Zero) => One,
-            _ => X,
-        },
-        GateKind::Xor => match (inputs[0], inputs[1]) {
-            (X, _) | (_, X) => X,
-            (a, b) => Tv::from_bool(a != b),
-        },
-        GateKind::Xnor => match (inputs[0], inputs[1]) {
-            (X, _) | (_, X) => X,
-            (a, b) => Tv::from_bool(a == b),
-        },
-        GateKind::Mux2 => {
-            let (a, b, s) = (inputs[0], inputs[1], inputs[2]);
-            match s {
-                Zero => a,
-                One => b,
-                // Select unknown: the output is known only when both data
-                // inputs agree on a known value (the simulator's consensus
-                // term).
-                X => {
-                    if a == b && a != X {
-                        a
-                    } else {
-                        X
-                    }
-                }
-            }
-        }
-        _ => unreachable!("eval_tv on non-combinational {kind:?}"),
-    }
-}
+use prebond3d_netlist::{eval_v3, GateKind, V3};
 
 /// A subset of `{0, 1, X}` — the possible three-valued simulation values
 /// of one net.
@@ -132,11 +49,11 @@ impl ValueSet {
     }
 
     /// The singleton of a scalar ternary value.
-    pub fn of_tv(v: Tv) -> ValueSet {
+    pub fn of_v3(v: V3) -> ValueSet {
         match v {
-            Tv::Zero => ValueSet::ZERO,
-            Tv::One => ValueSet::ONE,
-            Tv::X => ValueSet::X,
+            V3::Zero => ValueSet::ZERO,
+            V3::One => ValueSet::ONE,
+            V3::X => ValueSet::X,
         }
     }
 
@@ -178,10 +95,10 @@ impl ValueSet {
     }
 
     /// Iterate the members as scalar values, in the fixed order 0, 1, X.
-    pub fn members(self) -> impl Iterator<Item = Tv> {
-        [(BIT_ZERO, Tv::Zero), (BIT_ONE, Tv::One), (BIT_X, Tv::X)]
+    pub fn members(self) -> impl Iterator<Item = V3> {
+        [(BIT_ZERO, V3::Zero), (BIT_ONE, V3::One), (BIT_X, V3::X)]
             .into_iter()
-            .filter_map(move |(bit, tv)| (self.0 & bit != 0).then_some(tv))
+            .filter_map(move |(bit, v)| (self.0 & bit != 0).then_some(v))
     }
 
     /// Compact display for diagnostics: e.g. `{0}`, `{0,X}`, `{0,1,X}`.
@@ -194,19 +111,19 @@ impl ValueSet {
     }
 }
 
-/// Abstract transfer: the image of [`eval_tv`] over the cartesian product
+/// Abstract transfer: the image of [`eval_v3`] over the cartesian product
 /// of the input sets. Any input with an empty set yields the empty set
 /// (no concrete evaluation exists yet).
 pub fn eval_set(kind: GateKind, inputs: &[ValueSet]) -> ValueSet {
     debug_assert_eq!(inputs.len(), kind.arity(), "arity mismatch for {kind:?}");
     let mut out = ValueSet::EMPTY;
-    let mut combo = [Tv::X; 3];
+    let mut combo = [V3::X; 3];
     // Max arity is 3 and |set| ≤ 3, so this enumerates ≤ 27 combinations.
     match inputs.len() {
         1 => {
             for a in inputs[0].members() {
                 combo[0] = a;
-                out = out.join(ValueSet::of_tv(eval_tv(kind, &combo[..1])));
+                out = out.join(ValueSet::of_v3(eval_v3(kind, &combo[..1])));
             }
         }
         2 => {
@@ -214,7 +131,7 @@ pub fn eval_set(kind: GateKind, inputs: &[ValueSet]) -> ValueSet {
                 for b in inputs[1].members() {
                     combo[0] = a;
                     combo[1] = b;
-                    out = out.join(ValueSet::of_tv(eval_tv(kind, &combo[..2])));
+                    out = out.join(ValueSet::of_v3(eval_v3(kind, &combo[..2])));
                 }
             }
         }
@@ -225,7 +142,7 @@ pub fn eval_set(kind: GateKind, inputs: &[ValueSet]) -> ValueSet {
                         combo[0] = a;
                         combo[1] = b;
                         combo[2] = s;
-                        out = out.join(ValueSet::of_tv(eval_tv(kind, &combo[..3])));
+                        out = out.join(ValueSet::of_v3(eval_v3(kind, &combo[..3])));
                     }
                 }
             }

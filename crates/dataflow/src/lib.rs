@@ -10,9 +10,10 @@
 //! 2. **X-propagation** (the same fixpoint, read through
 //!    [`constprop::Constants::x_only_nets`]): cones dominated by unscanned
 //!    state elements and floating TSVs that pre-bond test cannot control.
-//! 3. **SCOAP-style scoring** ([`scoring`]): controllability and
-//!    observability costs per net, formula-compatible with the ATPG
-//!    crate's PODEM guidance.
+//! 3. **SCOAP scoring** ([`scoring`]): controllability and observability
+//!    costs per net in one levelized pass each way — the measures PODEM's
+//!    backtrace, the ATPG untestability pre-screen and the P3806 lint all
+//!    read.
 //!
 //! [`boundary::check`] composes the analyses into the wrapper-boundary
 //! admission gate used by `prebond3d-serve` and the `P3805` lint.
@@ -34,7 +35,7 @@ pub mod solver;
 
 pub use boundary::BoundaryIssue;
 pub use constprop::{Constants, SourceModel};
-pub use lattice::{eval_set, eval_tv, Tv, ValueSet};
+pub use lattice::{eval_set, ValueSet};
 pub use scoring::{AccessView, Scores};
 pub use solver::{solve, Fixpoint, Framework};
 

@@ -1,29 +1,32 @@
-//! SCOAP-style testability scoring on the dataflow framework.
+//! SCOAP testability measures (Goldstein 1979) under a pre-bond access
+//! view.
 //!
-//! Classic Goldstein controllability/observability measures, computed as
-//! two monotone fixpoints over the netlist graph (a forward min-cost pass
-//! for `CC0`/`CC1`, a backward min-cost pass for `CO`) under the pre-bond
-//! full-scan access view: primary inputs, scan flip-flops and wrapper
-//! cells are controllable; sink *drivers* of outputs, scan flip-flops and
-//! wrapper cells are observed; floating TSVs and unscanned flip-flops
-//! saturate.
+//! Controllability `CC0`/`CC1` counts how many assignments it takes to set
+//! a net to 0/1; observability `CO` counts how many to propagate it to an
+//! observation point. Uncontrollable sources (floating TSVs, unscanned
+//! flip-flops) and unobservable sinks saturate at [`INF`], so the measures
+//! directly express pre-bond reachability.
 //!
-//! The transfer functions mirror the ATPG crate's `Scoap` exactly, so the
-//! lint-facing scores agree with what PODEM uses for backtrace guidance —
-//! the alignment is locked down by a cross-check test in `prebond3d-atpg`.
+//! This is the one SCOAP of the tool-suite: the P3806 lint reads it under
+//! the full-scan [`AccessView::pre_bond`] view, and the ATPG engine reads
+//! it under a view built from its run's test access model — PODEM
+//! backtrace guidance, the structural untestability pre-screen and the
+//! static pruning mask.
+//!
+//! On the netlist DAG the minimum-cost fixpoint is reached in one pass
+//! each way: controllability forward in combinational order, observability
+//! backward in the reverse order.
 
 use prebond3d_netlist::{GateId, GateKind, Netlist};
 
-use crate::solver::{solve, Framework};
-
-/// Saturating "unreachable" cost (identical to the ATPG crate's value).
+/// Saturating "unreachable" cost.
 pub const INF: u32 = u32::MAX / 4;
 
 fn sat_add(a: u32, b: u32) -> u32 {
     a.saturating_add(b).min(INF)
 }
 
-/// The pre-bond access view used by the scoring passes.
+/// The access view the scoring pass runs under.
 #[derive(Debug, Clone)]
 pub struct AccessView {
     /// Scan-accessible (controllable) source nets.
@@ -60,164 +63,7 @@ impl AccessView {
     }
 }
 
-/// Forward controllability framework. Fact = `(cc0, cc1)`, ordered by
-/// pointwise ≤ with the *reversed* lattice (costs only decrease).
-struct Controllability<'a> {
-    netlist: &'a Netlist,
-    access: &'a AccessView,
-}
-
-impl Framework for Controllability<'_> {
-    type Fact = (u32, u32);
-
-    fn len(&self) -> usize {
-        self.netlist.len()
-    }
-
-    fn initial(&self, node: u32) -> (u32, u32) {
-        let id = GateId(node);
-        let gate = self.netlist.gate(id);
-        if gate.kind.is_source() {
-            match gate.kind {
-                GateKind::Const0 => (0, INF),
-                GateKind::Const1 => (INF, 0),
-                _ if self.access.controllable[id.index()] => (1, 1),
-                _ => (INF, INF),
-            }
-        } else {
-            (INF, INF)
-        }
-    }
-
-    fn transfer(&self, node: u32, facts: &[(u32, u32)]) -> (u32, u32) {
-        let id = GateId(node);
-        let gate = self.netlist.gate(id);
-        if gate.kind.is_source() {
-            return self.initial(node);
-        }
-        let in0: Vec<u32> = gate.inputs.iter().map(|x| facts[x.index()].0).collect();
-        let in1: Vec<u32> = gate.inputs.iter().map(|x| facts[x.index()].1).collect();
-        let (c0, c1) = match gate.kind {
-            GateKind::Buf | GateKind::Output | GateKind::TsvOut => (in0[0], in1[0]),
-            GateKind::Not => (in1[0], in0[0]),
-            GateKind::And => (in0.iter().copied().min().unwrap(), sat_add(in1[0], in1[1])),
-            GateKind::Nand => (sat_add(in1[0], in1[1]), in0.iter().copied().min().unwrap()),
-            GateKind::Or => (sat_add(in0[0], in0[1]), in1.iter().copied().min().unwrap()),
-            GateKind::Nor => (in1.iter().copied().min().unwrap(), sat_add(in0[0], in0[1])),
-            GateKind::Xor => (
-                sat_add(in0[0], in0[1]).min(sat_add(in1[0], in1[1])),
-                sat_add(in0[0], in1[1]).min(sat_add(in1[0], in0[1])),
-            ),
-            GateKind::Xnor => (
-                sat_add(in0[0], in1[1]).min(sat_add(in1[0], in0[1])),
-                sat_add(in0[0], in0[1]).min(sat_add(in1[0], in1[1])),
-            ),
-            GateKind::Mux2 => {
-                let c0 = sat_add(in0[2], in0[0]).min(sat_add(in1[2], in0[1]));
-                let c1 = sat_add(in0[2], in1[0]).min(sat_add(in1[2], in1[1]));
-                (c0, c1)
-            }
-            _ => (INF, INF),
-        };
-        (sat_add(c0, 1), sat_add(c1, 1))
-    }
-
-    fn dependents(&self, node: u32, out: &mut Vec<u32>) {
-        for &fo in self.netlist.fanout(GateId(node)) {
-            out.push(fo.0);
-        }
-    }
-}
-
-/// Backward observability framework. Fact = `co`, costs only decrease.
-struct Observability<'a> {
-    netlist: &'a Netlist,
-    access: &'a AccessView,
-    cc: &'a [(u32, u32)],
-}
-
-impl Observability<'_> {
-    /// Cost of observing input pin `pin` of `gate` through it.
-    fn side_cost(&self, gate: &prebond3d_netlist::Gate, pin: usize) -> u32 {
-        let cc0 = |id: GateId| self.cc[id.index()].0;
-        let cc1 = |id: GateId| self.cc[id.index()].1;
-        match gate.kind {
-            GateKind::Buf
-            | GateKind::Not
-            | GateKind::Output
-            | GateKind::TsvOut
-            | GateKind::Wrapper
-            | GateKind::Dff
-            | GateKind::ScanDff => 0,
-            GateKind::And | GateKind::Nand => cc1(gate.inputs[1 - pin]),
-            GateKind::Or | GateKind::Nor => cc0(gate.inputs[1 - pin]),
-            GateKind::Xor | GateKind::Xnor => {
-                let other = gate.inputs[1 - pin];
-                cc0(other).min(cc1(other))
-            }
-            GateKind::Mux2 => match pin {
-                0 => cc0(gate.inputs[2]),
-                1 => cc1(gate.inputs[2]),
-                _ => sat_add(
-                    cc0(gate.inputs[0]).min(cc1(gate.inputs[0])),
-                    cc0(gate.inputs[1]).min(cc1(gate.inputs[1])),
-                ),
-            },
-            _ => INF,
-        }
-    }
-}
-
-impl Framework for Observability<'_> {
-    type Fact = u32;
-
-    fn len(&self) -> usize {
-        self.netlist.len()
-    }
-
-    fn initial(&self, node: u32) -> u32 {
-        if self.access.observed[node as usize] {
-            0
-        } else {
-            INF
-        }
-    }
-
-    fn transfer(&self, node: u32, facts: &[u32]) -> u32 {
-        let id = GateId(node);
-        let mut best = self.initial(node);
-        for &fo in self.netlist.fanout(id) {
-            let gate = self.netlist.gate(fo);
-            // Capturing into an unobservable (unscanned) flip-flop
-            // observes nothing within the test frame.
-            if gate.kind.is_sequential() && !self.access.controllable[fo.index()] {
-                continue;
-            }
-            let base = if gate.kind.is_sequential() {
-                0
-            } else {
-                facts[fo.index()]
-            };
-            for (pin, &input) in gate.inputs.iter().enumerate() {
-                if input != id {
-                    continue;
-                }
-                let cost = sat_add(sat_add(base, self.side_cost(gate, pin)), 1);
-                best = best.min(cost);
-            }
-        }
-        best
-    }
-
-    fn dependents(&self, node: u32, out: &mut Vec<u32>) {
-        // Backward: when co[node] changes, its *inputs* must recompute.
-        for &input in &self.netlist.gate(GateId(node)).inputs {
-            out.push(input.0);
-        }
-    }
-}
-
-/// SCOAP-style measures for every net.
+/// SCOAP measures for every net.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scores {
     /// Cost to force each net to 0.
@@ -231,18 +77,123 @@ pub struct Scores {
 impl Scores {
     /// Compute all three measures under `access`.
     pub fn compute(netlist: &Netlist, access: &AccessView) -> Scores {
-        let cc = solve(&Controllability { netlist, access }).facts;
-        let co = solve(&Observability {
-            netlist,
-            access,
-            cc: &cc,
-        })
-        .facts;
-        let (cc0, cc1) = cc.into_iter().unzip();
+        let n = netlist.len();
+        let order = prebond3d_netlist::traverse::combinational_order(netlist);
+        let mut cc0 = vec![INF; n];
+        let mut cc1 = vec![INF; n];
+
+        // --- Controllability (forward) --------------------------------
+        for &id in &order {
+            let gate = netlist.gate(id);
+            let i = id.index();
+            if gate.kind.is_source() {
+                match gate.kind {
+                    GateKind::Const0 => {
+                        cc0[i] = 0;
+                        cc1[i] = INF;
+                    }
+                    GateKind::Const1 => {
+                        cc0[i] = INF;
+                        cc1[i] = 0;
+                    }
+                    _ if access.controllable[i] => {
+                        cc0[i] = 1;
+                        cc1[i] = 1;
+                    }
+                    _ => { /* uncontrollable: INF */ }
+                }
+                continue;
+            }
+            let in0: Vec<u32> = gate.inputs.iter().map(|x| cc0[x.index()]).collect();
+            let in1: Vec<u32> = gate.inputs.iter().map(|x| cc1[x.index()]).collect();
+            let (c0, c1) = match gate.kind {
+                GateKind::Buf | GateKind::Output | GateKind::TsvOut => (in0[0], in1[0]),
+                GateKind::Not => (in1[0], in0[0]),
+                GateKind::And => (in0.iter().copied().min().unwrap(), sat_add(in1[0], in1[1])),
+                GateKind::Nand => (sat_add(in1[0], in1[1]), in0.iter().copied().min().unwrap()),
+                GateKind::Or => (sat_add(in0[0], in0[1]), in1.iter().copied().min().unwrap()),
+                GateKind::Nor => (in1.iter().copied().min().unwrap(), sat_add(in0[0], in0[1])),
+                GateKind::Xor => (
+                    sat_add(in0[0], in0[1]).min(sat_add(in1[0], in1[1])),
+                    sat_add(in0[0], in1[1]).min(sat_add(in1[0], in0[1])),
+                ),
+                GateKind::Xnor => (
+                    sat_add(in0[0], in1[1]).min(sat_add(in1[0], in0[1])),
+                    sat_add(in0[0], in0[1]).min(sat_add(in1[0], in1[1])),
+                ),
+                GateKind::Mux2 => {
+                    // select=0 path via a, select=1 path via b.
+                    let c0 = sat_add(in0[2], in0[0]).min(sat_add(in1[2], in0[1]));
+                    let c1 = sat_add(in0[2], in1[0]).min(sat_add(in1[2], in1[1]));
+                    (c0, c1)
+                }
+                _ => (INF, INF),
+            };
+            cc0[i] = sat_add(c0, 1);
+            cc1[i] = sat_add(c1, 1);
+        }
+
+        // --- Observability (backward) -----------------------------------
+        let mut co: Vec<u32> = access
+            .observed
+            .iter()
+            .map(|&o| if o { 0 } else { INF })
+            .collect();
+        for &id in order.iter().rev() {
+            let gate = netlist.gate(id);
+            // Cost to observe each *input* of this gate through it.
+            if gate.kind.is_sequential() && !access.controllable[id.index()] {
+                // Capturing into an unobservable (unscanned) flip-flop
+                // observes nothing within this test frame.
+                continue;
+            }
+            let co_out = co[id.index()];
+            if co_out >= INF {
+                continue;
+            }
+            for (pin, &input) in gate.inputs.iter().enumerate() {
+                let side_cost: u32 = match gate.kind {
+                    GateKind::Buf
+                    | GateKind::Not
+                    | GateKind::Output
+                    | GateKind::TsvOut
+                    | GateKind::Wrapper
+                    | GateKind::Dff
+                    | GateKind::ScanDff => 0,
+                    // The other input must be non-controlling.
+                    GateKind::And | GateKind::Nand => cc1[gate.inputs[1 - pin].index()],
+                    GateKind::Or | GateKind::Nor => cc0[gate.inputs[1 - pin].index()],
+                    GateKind::Xor | GateKind::Xnor => {
+                        let other = gate.inputs[1 - pin].index();
+                        cc0[other].min(cc1[other])
+                    }
+                    GateKind::Mux2 => match pin {
+                        0 => cc0[gate.inputs[2].index()],
+                        1 => cc1[gate.inputs[2].index()],
+                        _ => {
+                            // Observing the select needs differing data —
+                            // approximate with the cheaper data control.
+                            let (a, b) = (gate.inputs[0].index(), gate.inputs[1].index());
+                            sat_add(cc0[a].min(cc1[a]), cc0[b].min(cc1[b]))
+                        }
+                    },
+                    _ => INF,
+                };
+                // Sequential capture (scan FF / wrapper): the D pin is the
+                // observation point itself if the FF is scan-accessible.
+                let base = if gate.kind.is_sequential() { 0 } else { co_out };
+                let cost = sat_add(sat_add(base, side_cost), 1);
+                if cost < co[input.index()] {
+                    co[input.index()] = cost;
+                }
+            }
+        }
+
         Scores { cc0, cc1, co }
     }
 
-    /// Combined difficulty of detecting a stuck-at fault at `id`.
+    /// Combined difficulty of detecting a stuck-at fault at `id`:
+    /// excitation controllability + observability (saturating).
     pub fn detect_cost(&self, id: GateId, stuck_at_one: bool) -> u32 {
         let cc = if stuck_at_one {
             self.cc0[id.index()]

@@ -132,8 +132,6 @@ pub const REPORT_UNPARSABLE: Code = Code(3601);
 pub const REPORT_SCHEMA_DRIFT: Code = Code(3602);
 /// A run/BENCH report omits the expected telemetry blocks (hists/mem).
 pub const REPORT_MISSING_TELEMETRY: Code = Code(3603);
-/// A BENCH report's work rows omit the wide-lane/retime counters.
-pub const REPORT_MISSING_WORK_COUNTERS: Code = Code(3605);
 
 // --- report-schema, serving reports (P370x) ------------------------------
 /// A serving report's job accounting does not balance
@@ -323,12 +321,6 @@ pub const REGISTRY: &[RegistryRow] = &[
         "report-missing-telemetry",
         Severity::Warn,
         "report omits the expected telemetry blocks (hists/mem)",
-    ),
-    (
-        REPORT_MISSING_WORK_COUNTERS,
-        "report-missing-work-counters",
-        Severity::Warn,
-        "bench report's work rows omit the wide-lane/retime counters",
     ),
     (
         SERVE_JOBS_UNACCOUNTED,

@@ -18,9 +18,9 @@ use std::sync::OnceLock;
 
 use crate::context::LintContext;
 use crate::diagnostic::{
-    Code, Diagnostic, Location, REPORT_MISSING_TELEMETRY, REPORT_MISSING_WORK_COUNTERS,
-    REPORT_SCHEMA_DRIFT, REPORT_UNPARSABLE, SERVE_CACHE_COLD, SERVE_JOBS_UNACCOUNTED,
-    SERVE_JOURNAL_UNACCOUNTED_JOB, SERVE_REPORT_MISSING_RECOVERY_TELEMETRY,
+    Code, Diagnostic, Location, REPORT_MISSING_TELEMETRY, REPORT_SCHEMA_DRIFT, REPORT_UNPARSABLE,
+    SERVE_CACHE_COLD, SERVE_JOBS_UNACCOUNTED, SERVE_JOURNAL_UNACCOUNTED_JOB,
+    SERVE_REPORT_MISSING_RECOVERY_TELEMETRY,
 };
 use crate::schema;
 use crate::Pass;
@@ -97,7 +97,6 @@ impl Pass for ReportSchemaPass {
             REPORT_UNPARSABLE,
             REPORT_SCHEMA_DRIFT,
             REPORT_MISSING_TELEMETRY,
-            REPORT_MISSING_WORK_COUNTERS,
             SERVE_JOBS_UNACCOUNTED,
             SERVE_CACHE_COLD,
             SERVE_JOURNAL_UNACCOUNTED_JOB,
@@ -144,7 +143,6 @@ impl Pass for ReportSchemaPass {
                 ));
             }
             check_telemetry_blocks(label, &value, &ctx.artifact, out);
-            check_work_counters(label, &value, &ctx.artifact, out);
             let base = label.rsplit('/').next().unwrap_or(label);
             if is_serve_report(base) {
                 check_serve_consistency(label, &value, &ctx.artifact, out);
@@ -182,50 +180,6 @@ fn check_telemetry_blocks(label: &str, value: &Value, artifact: &str, out: &mut 
             .with_help("regenerate the report with a current bench binary"),
         );
     }
-}
-
-/// Work counters the wide-lane / incremental-STA perf round records
-/// (DESIGN.md §16). A per-die BENCH report that carries work rows but
-/// none of these was produced by a stale perf binary whose probes predate
-/// the round — the obs-diff gate would then silently stop covering them.
-/// Serving reports are exempt: their work rows measure the warm cache
-/// (`serve.cache_misses`), not the fault-sim/STA hot paths.
-const EXPECTED_WORK_COUNTERS: [&str; 2] = ["atpg.pattern_batches", "sta.node_retimes"];
-
-/// P3605: a non-serve BENCH report with a non-empty `work[]` array but no
-/// row for any of [`EXPECTED_WORK_COUNTERS`].
-fn check_work_counters(label: &str, value: &Value, artifact: &str, out: &mut Vec<Diagnostic>) {
-    let base = label.rsplit('/').next().unwrap_or(label);
-    if is_serve_report(base) || !base.starts_with("BENCH_") {
-        return;
-    }
-    let Some(Value::Arr(work)) = value.get("work") else {
-        return;
-    };
-    if work.is_empty() {
-        return;
-    }
-    let recorded = |name: &str| {
-        work.iter()
-            .any(|row| row.get("counter").and_then(Value::as_str) == Some(name))
-    };
-    if EXPECTED_WORK_COUNTERS.iter().any(|c| recorded(c)) {
-        return;
-    }
-    out.push(
-        Diagnostic::new(
-            REPORT_MISSING_WORK_COUNTERS,
-            Location::item(artifact, label.to_string()),
-            format!(
-                "work rows lack the wide-lane/retime counters ({})",
-                EXPECTED_WORK_COUNTERS.join(", ")
-            ),
-        )
-        .with_help(
-            "regenerate the report with a current perf binary — the wide-lane \
-             fault-sim and incremental-STA probes record these counters",
-        ),
-    );
 }
 
 /// Cross-field invariants of the serving report that the schema cannot
@@ -397,7 +351,7 @@ mod tests {
     }
 
     /// Minimal per-die bench report that satisfies the bench golden
-    /// schema and carries the perf round's work counters.
+    /// schema.
     fn valid_bench_report() -> String {
         r#"{
             "experiment": "perf",
@@ -415,45 +369,17 @@ mod tests {
                       "reference": 800, "optimized": 400, "reduction": 0.5},
                      {"counter": "atpg.pattern_batches",
                       "substrate": "b01 Die0 wide lanes",
-                      "reference": 8, "optimized": 1, "reduction": 0.875},
-                     {"counter": "sta.node_retimes", "substrate": "b01 Die0",
-                      "reference": 900, "optimized": 40, "reduction": 0.955}]
+                      "reference": 8, "optimized": 1, "reduction": 0.875}]
         }"#
         .to_string()
     }
 
     #[test]
-    fn bench_report_with_lane_and_retime_rows_is_clean() {
+    fn valid_bench_report_is_clean() {
         let report = lint("BENCH_perf.json", valid_bench_report());
         assert!(!report.has_errors(), "{}", report.render());
         assert!(
-            report.with_code(REPORT_MISSING_WORK_COUNTERS).is_empty(),
-            "{}",
-            report.render()
-        );
-    }
-
-    #[test]
-    fn bench_report_without_lane_or_retime_rows_warns() {
-        // Keep only the gate-evals row: a stale perf binary's output.
-        let text = valid_bench_report().replace("atpg.pattern_batches", "probe.cache_hits");
-        let text = text.replace("sta.node_retimes", "graph.cone_word_ops");
-        let report = lint("BENCH_perf.json", text);
-        let warns = report.with_code(REPORT_MISSING_WORK_COUNTERS);
-        assert_eq!(warns.len(), 1, "{}", report.render());
-        assert!(warns[0].message.contains("atpg.pattern_batches"));
-        assert!(!report.has_errors(), "{}", report.render());
-    }
-
-    #[test]
-    fn bench_report_with_empty_work_rows_is_exempt() {
-        // A lite run records no work rows at all — nothing to flag.
-        let start = valid_bench_report().find("\"work\"").unwrap();
-        let mut text = valid_bench_report()[..start].to_string();
-        text.push_str("\"work\": []\n        }");
-        let report = lint("BENCH_lite.json", text);
-        assert!(
-            report.with_code(REPORT_MISSING_WORK_COUNTERS).is_empty(),
+            report.with_code(REPORT_MISSING_TELEMETRY).is_empty(),
             "{}",
             report.render()
         );
@@ -497,13 +423,6 @@ mod tests {
         assert!(!report.has_errors(), "{}", report.render());
         assert!(
             report.with_code(REPORT_MISSING_TELEMETRY).is_empty(),
-            "{}",
-            report.render()
-        );
-        // Serving work rows measure the warm cache, not the fault-sim/STA
-        // hot paths — P3605 must not fire on them.
-        assert!(
-            report.with_code(REPORT_MISSING_WORK_COUNTERS).is_empty(),
             "{}",
             report.render()
         );

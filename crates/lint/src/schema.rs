@@ -1,9 +1,9 @@
-//! JSON → type-schema reduction for the report-schema pass.
+//! JSON → type-schema reduction for the report-schema pass and the golden
+//! tests in `tests/report_schema.rs`.
 //!
-//! Mirrors the reduction in `tests/report_schema.rs`: a document collapses
-//! to one sorted `path: type` line per distinct field, with the
-//! dynamically-keyed `counters`/`gauges` objects collapsing to a single
-//! `map<number>` entry. Unlike the test helper this version never panics:
+//! A document collapses to one sorted `path: type` line per distinct
+//! field, with the dynamically-keyed `counters`/`gauges` objects
+//! collapsing to a single `map<number>` entry. The reduction never panics:
 //! a non-numeric counter value surfaces as an extra schema line, which the
 //! pass then reports as drift.
 

@@ -14,6 +14,7 @@
 use std::collections::HashMap;
 
 use crate::gate::{Gate, GateId, GateKind};
+use crate::logic::{eval_v3, V3};
 use crate::netlist::Netlist;
 use crate::NetlistError;
 
@@ -39,11 +40,6 @@ pub fn rewire(netlist: &Netlist, from: GateId, to: GateId) -> Result<Netlist, Ne
     Netlist::from_gates(netlist.name().to_string(), gates)
 }
 
-/// Constant value of a gate output, if statically known.
-fn const_value(values: &[Option<bool>], id: GateId) -> Option<bool> {
-    values[id.index()]
-}
-
 /// Fold constants through the combinational logic: every gate whose output
 /// is statically implied by `const0`/`const1` sources (plus the optional
 /// `forced` assignments, e.g. `test_en = 1`) is replaced by a constant
@@ -61,7 +57,7 @@ pub fn propagate_constants(
     forced: &[(GateId, bool)],
 ) -> Result<Netlist, NetlistError> {
     let order = crate::traverse::combinational_order(netlist);
-    let mut values: Vec<Option<bool>> = vec![None; netlist.len()];
+    let mut values = vec![V3::X; netlist.len()];
     for &(id, v) in forced {
         // A forced id outside the netlist is a caller bug, but one that is
         // easy to hit when ids from a pre-edit netlist leak through; report
@@ -72,24 +68,20 @@ pub fn propagate_constants(
                 input: id,
             });
         }
-        values[id.index()] = Some(v);
+        values[id.index()] = V3::from_bool(v);
     }
     for &id in &order {
-        if values[id.index()].is_some() {
+        if values[id.index()].is_known() {
             continue;
         }
         let gate = netlist.gate(id);
         values[id.index()] = match gate.kind {
-            GateKind::Const0 => Some(false),
-            GateKind::Const1 => Some(true),
-            _ if !gate.kind.is_combinational() => None,
+            GateKind::Const0 => V3::Zero,
+            GateKind::Const1 => V3::One,
+            _ if !gate.kind.is_combinational() => V3::X,
             _ => {
-                let ins: Vec<Option<bool>> = gate
-                    .inputs
-                    .iter()
-                    .map(|&i| const_value(&values, i))
-                    .collect();
-                eval_const(gate.kind, &ins)
+                let ins: Vec<V3> = gate.inputs.iter().map(|&i| values[i.index()]).collect();
+                eval_v3(gate.kind, &ins)
             }
         };
     }
@@ -101,7 +93,7 @@ pub fn propagate_constants(
             // Sinks and sources keep their role; internal logic with a
             // known value becomes a constant source.
             if g.kind.is_combinational() && !matches!(g.kind, GateKind::Output | GateKind::TsvOut) {
-                if let Some(v) = values[id.index()] {
+                if let Some(v) = values[id.index()].to_bool() {
                     g.kind = if v {
                         GateKind::Const1
                     } else {
@@ -114,40 +106,6 @@ pub fn propagate_constants(
         })
         .collect();
     Netlist::from_gates(netlist.name().to_string(), gates)
-}
-
-/// Three-valued constant evaluation (`None` = unknown).
-fn eval_const(kind: GateKind, ins: &[Option<bool>]) -> Option<bool> {
-    match kind {
-        GateKind::Buf | GateKind::Output | GateKind::TsvOut => ins[0],
-        GateKind::Not => ins[0].map(|v| !v),
-        GateKind::And => match (ins[0], ins[1]) {
-            (Some(false), _) | (_, Some(false)) => Some(false),
-            (Some(true), Some(true)) => Some(true),
-            _ => None,
-        },
-        GateKind::Nand => eval_const(GateKind::And, ins).map(|v| !v),
-        GateKind::Or => match (ins[0], ins[1]) {
-            (Some(true), _) | (_, Some(true)) => Some(true),
-            (Some(false), Some(false)) => Some(false),
-            _ => None,
-        },
-        GateKind::Nor => eval_const(GateKind::Or, ins).map(|v| !v),
-        GateKind::Xor => match (ins[0], ins[1]) {
-            (Some(a), Some(b)) => Some(a ^ b),
-            _ => None,
-        },
-        GateKind::Xnor => eval_const(GateKind::Xor, ins).map(|v| !v),
-        GateKind::Mux2 => match ins[2] {
-            Some(false) => ins[0],
-            Some(true) => ins[1],
-            None => match (ins[0], ins[1]) {
-                (Some(a), Some(b)) if a == b => Some(a),
-                _ => None,
-            },
-        },
-        _ => None,
-    }
 }
 
 /// Remove every gate that reaches no sink (primary output, TSV endpoint

@@ -153,33 +153,6 @@ impl GateKind {
         )
     }
 
-    /// Evaluate the gate over bit-parallel two-valued logic.
-    ///
-    /// Each `u64` word carries 64 independent simulation patterns.
-    /// Sequential and source kinds are not evaluable; callers must supply
-    /// their values externally.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` does not match [`Self::arity`] or the kind
-    /// is not combinational (debug builds).
-    #[inline]
-    pub fn eval_words(self, inputs: &[u64]) -> u64 {
-        debug_assert_eq!(inputs.len(), self.arity(), "arity mismatch for {self:?}");
-        match self {
-            GateKind::Buf | GateKind::Output | GateKind::TsvOut => inputs[0],
-            GateKind::Not => !inputs[0],
-            GateKind::And => inputs[0] & inputs[1],
-            GateKind::Or => inputs[0] | inputs[1],
-            GateKind::Nand => !(inputs[0] & inputs[1]),
-            GateKind::Nor => !(inputs[0] | inputs[1]),
-            GateKind::Xor => inputs[0] ^ inputs[1],
-            GateKind::Xnor => !(inputs[0] ^ inputs[1]),
-            GateKind::Mux2 => (inputs[0] & !inputs[2]) | (inputs[1] & inputs[2]),
-            _ => unreachable!("eval_words on non-combinational kind {self:?}"),
-        }
-    }
-
     /// The controlling value of the gate, if it has one (e.g. 0 for AND,
     /// 1 for OR). Used by SCOAP and PODEM backtracing.
     pub fn controlling_value(self) -> Option<bool> {
@@ -304,40 +277,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn arity_matches_eval_expectations() {
-        for kind in GateKind::ALL {
-            if kind.is_combinational() {
-                let inputs = vec![0u64; kind.arity()];
-                // Must not panic.
-                let _ = kind.eval_words(&inputs);
-            }
-        }
-    }
-
-    #[test]
     fn mnemonic_roundtrip() {
         for kind in GateKind::ALL {
             assert_eq!(GateKind::from_mnemonic(kind.mnemonic()), Some(kind));
         }
         assert_eq!(GateKind::from_mnemonic("bogus"), None);
-    }
-
-    #[test]
-    fn eval_truth_tables() {
-        let t = u64::MAX;
-        assert_eq!(GateKind::And.eval_words(&[t, 0]), 0);
-        assert_eq!(GateKind::And.eval_words(&[t, t]), t);
-        assert_eq!(GateKind::Or.eval_words(&[t, 0]), t);
-        assert_eq!(GateKind::Nand.eval_words(&[t, t]), 0);
-        assert_eq!(GateKind::Nor.eval_words(&[0, 0]), t);
-        assert_eq!(GateKind::Xor.eval_words(&[t, t]), 0);
-        assert_eq!(GateKind::Xor.eval_words(&[t, 0]), t);
-        assert_eq!(GateKind::Xnor.eval_words(&[t, 0]), 0);
-        assert_eq!(GateKind::Not.eval_words(&[0]), t);
-        assert_eq!(GateKind::Buf.eval_words(&[t]), t);
-        // mux: sel=0 -> a, sel=1 -> b
-        assert_eq!(GateKind::Mux2.eval_words(&[t, 0, 0]), t);
-        assert_eq!(GateKind::Mux2.eval_words(&[t, 0, t]), 0);
     }
 
     #[test]

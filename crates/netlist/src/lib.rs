@@ -41,6 +41,7 @@ pub mod error;
 pub mod format;
 pub mod gate;
 pub mod itc99;
+pub mod logic;
 pub mod netlist;
 pub mod stats;
 pub mod traverse;
@@ -53,5 +54,6 @@ pub use cone::{fanin_cone, fanout_cone, ConeSet};
 pub use csr::Csr;
 pub use error::NetlistError;
 pub use gate::{Gate, GateId, GateKind};
+pub use logic::{eval_v3, V3};
 pub use netlist::Netlist;
 pub use stats::NetlistStats;

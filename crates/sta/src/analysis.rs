@@ -62,34 +62,10 @@ impl TimingReport {
     pub fn is_empty(&self) -> bool {
         self.arrival.is_empty()
     }
-
-    /// Assemble a report from already-computed vectors. Used by the
-    /// incremental engine ([`crate::incremental`]) to materialize its live
-    /// state into the same comparable (`PartialEq`) type this module
-    /// produces.
-    pub(crate) fn from_parts(
-        arrival: Vec<Time>,
-        required: Vec<Time>,
-        load: Vec<Capacitance>,
-        wns: Time,
-        tns: Time,
-        worst_endpoint: Option<GateId>,
-        clock_period: Time,
-    ) -> TimingReport {
-        TimingReport {
-            arrival,
-            required,
-            load,
-            wns,
-            tns,
-            worst_endpoint,
-            clock_period,
-        }
-    }
 }
 
 /// Launch time of a source node.
-pub(crate) fn launch_time(kind: GateKind, library: &Library, config: &StaConfig) -> Time {
+fn launch_time(kind: GateKind, library: &Library, config: &StaConfig) -> Time {
     match kind {
         GateKind::Dff | GateKind::ScanDff | GateKind::Wrapper => library.clk_to_q,
         GateKind::Input | GateKind::TsvIn => config.input_arrival,
@@ -98,7 +74,7 @@ pub(crate) fn launch_time(kind: GateKind, library: &Library, config: &StaConfig)
 }
 
 /// Required time at a sink node's *input*.
-pub(crate) fn sink_required(kind: GateKind, library: &Library, config: &StaConfig) -> Option<Time> {
+fn sink_required(kind: GateKind, library: &Library, config: &StaConfig) -> Option<Time> {
     match kind {
         GateKind::Dff | GateKind::ScanDff | GateKind::Wrapper => {
             Some(config.clock_period - library.setup)
@@ -136,26 +112,6 @@ pub fn analyze_with_statics(
     config: &StaConfig,
     statics: &[GateId],
 ) -> TimingReport {
-    analyze_with_extra_loads(netlist, placement, library, config, statics, &[])
-}
-
-/// [`analyze_with_statics`] with *what-if* extra capacitive loads: each
-/// `(id, c)` entry adds `c` to the structural load of `id`'s output net
-/// before any delay is computed, modelling a candidate DFT tap (mux/XOR
-/// pin plus stub wire) without editing the netlist.
-///
-/// This is the reference oracle for the incremental engine in
-/// [`crate::incremental`]: `StaAnalysis::set_extra_load` must produce
-/// exactly (bitwise on every `f64`) the report this function produces for
-/// the same extras.
-pub fn analyze_with_extra_loads(
-    netlist: &Netlist,
-    placement: &Placement,
-    library: &Library,
-    config: &StaConfig,
-    statics: &[GateId],
-    extra: &[(GateId, Capacitance)],
-) -> TimingReport {
     let _span = obs::span("sta_analyze");
     let n = netlist.len();
     assert_eq!(placement.len(), n, "placement must cover the netlist");
@@ -182,9 +138,6 @@ pub fn analyze_with_extra_loads(
             total += wire.driver_load(placement.distance(id, fo));
         }
         load[id.index()] = total;
-    }
-    for &(id, c) in extra {
-        load[id.index()] += c;
     }
 
     let mut is_static = vec![false; n];

@@ -36,15 +36,13 @@
 //! ```
 
 pub mod analysis;
-pub mod incremental;
 pub mod paths;
 pub mod report;
 pub mod whatif;
 
 use prebond3d_celllib::Time;
 
-pub use analysis::{analyze, analyze_with_extra_loads, analyze_with_statics, TimingReport};
-pub use incremental::StaAnalysis;
+pub use analysis::{analyze, analyze_with_statics, TimingReport};
 pub use paths::{k_worst_paths, slack_histogram, TimingPath};
 pub use report::critical_path_text;
 pub use whatif::{ReuseKind, TapCost};

@@ -211,50 +211,6 @@ fn lane_width_and_thread_matrix_is_byte_identical() {
     }
 }
 
-/// Incremental frontier STA (DESIGN.md §16): a seeded what-if sweep over
-/// single-net extra loads must match the from-scratch oracle *exactly* —
-/// every arrival, required, load, WNS and TNS `f64` compares equal — while
-/// retiming strictly fewer nodes than the full recompute visits.
-#[test]
-fn incremental_sta_what_if_sweep_equals_full_recompute_exactly() {
-    use prebond3d::celllib::{Capacitance, Time};
-    use prebond3d::netlist::GateId;
-    use prebond3d::sta::{analyze_with_extra_loads, StaAnalysis, StaConfig};
-    let lib = Library::nangate45_like();
-    let spec = itc99::circuit("b11").expect("known benchmark");
-    let netlist = itc99::generate_die(&spec.dies[0]);
-    let placement = place(&netlist, &PlaceConfig::default(), 1);
-    let config = StaConfig::with_period(Time(760.0));
-    let mut inc = StaAnalysis::new(&netlist, &placement, &lib, &config, &[]);
-    let mut rng = StdRng::seed_from_u64(0x57A7_D1CE);
-    for round in 0..10 {
-        let target = GateId(rng.gen_range(0..netlist.len() as u32));
-        let c = Capacitance(rng.gen_range(1u32..60) as f64 / 8.0);
-        inc.set_extra_load(target, c);
-        let oracle =
-            analyze_with_extra_loads(&netlist, &placement, &lib, &config, &[], &[(target, c)]);
-        assert_eq!(
-            inc.report(),
-            oracle,
-            "round {round}: incremental what-if diverged from the oracle \
-             (extra {c} on {target:?})"
-        );
-        assert!(
-            inc.last_retimes() < netlist.len() as u64,
-            "round {round}: retimed {} of {} nodes — frontier is not partial",
-            inc.last_retimes(),
-            netlist.len()
-        );
-        inc.set_extra_load(target, Capacitance::ZERO);
-    }
-    // After the sweep every extra is cleared: the live state must equal
-    // the plain analysis again.
-    assert_eq!(
-        inc.report(),
-        prebond3d::sta::analyze(&netlist, &placement, &lib, &config)
-    );
-}
-
 /// Crash-safe checkpoint/resume (DESIGN.md §10): a sweep that is killed
 /// mid-run and resumed — even with a torn final checkpoint line and a
 /// different thread count — must converge to final reports byte-identical

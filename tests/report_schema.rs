@@ -9,76 +9,22 @@
 //! files in `tests/golden/`. Downstream tooling parses these reports;
 //! changing a field name or type must be a conscious, reviewed act.
 
-use std::collections::BTreeSet;
-
 use prebond3d_bench::report;
+use prebond3d_lint::schema;
 use prebond3d_obs as obs;
 use prebond3d_obs::json::{parse, Value};
 use prebond3d_resilience::{chaos, degrade};
 
-/// Reduce a JSON value to sorted `path: type` lines. The `counters` and
-/// `gauges` objects are keyed by dynamic metric names, so they collapse
-/// to a single `map<number>` entry (asserting every value is numeric)
-/// instead of enumerating whatever counters this run happened to touch.
-fn schema_lines(path: &str, v: &Value, out: &mut BTreeSet<String>) {
-    match v {
-        Value::Null => {
-            out.insert(format!("{path}: null"));
-        }
-        Value::Bool(_) => {
-            out.insert(format!("{path}: bool"));
-        }
-        Value::Num(_) => {
-            out.insert(format!("{path}: number"));
-        }
-        Value::Str(_) => {
-            out.insert(format!("{path}: string"));
-        }
-        Value::Arr(items) => {
-            out.insert(format!("{path}: array"));
-            for item in items {
-                schema_lines(&format!("{path}[]"), item, out);
-            }
-        }
-        Value::Obj(map) => {
-            if path.ends_with(".counters") || path.ends_with(".gauges") {
-                out.insert(format!("{path}: map<number>"));
-                for (k, v) in map {
-                    assert!(
-                        matches!(v, Value::Num(_)),
-                        "{path}.{k} must be numeric, got {v:?}"
-                    );
-                }
-                return;
-            }
-            // Histogram maps are keyed by dynamic metric/phase names; they
-            // collapse to one `map<hist>` entry, asserting every value is
-            // a full histogram summary object.
-            if path.ends_with(".hists") {
-                out.insert(format!("{path}: map<hist>"));
-                for (k, v) in map {
-                    for field in ["count", "sum", "max", "p50", "p95", "p99"] {
-                        assert!(
-                            matches!(v.get(field), Some(Value::Num(_))),
-                            "{path}.{k}.{field} must be a numeric hist field, got {v:?}"
-                        );
-                    }
-                }
-                return;
-            }
-            out.insert(format!("{path}: object"));
-            for (k, v) in map {
-                schema_lines(&format!("{path}.{k}"), v, out);
-            }
-        }
-    }
-}
-
+/// The sorted `path: type` reduction the lint report pass validates
+/// against (`prebond3d_lint::schema`), one line per distinct field. A
+/// non-numeric counter or malformed histogram surfaces as an extra line,
+/// so the golden comparison fails on it.
 fn schema_of(text: &str) -> String {
     let doc = parse(text).expect("report parses as JSON");
-    let mut lines = BTreeSet::new();
-    schema_lines("$", &doc, &mut lines);
-    let mut s = lines.into_iter().collect::<Vec<_>>().join("\n");
+    let mut s = schema::schema_lines(&doc)
+        .into_iter()
+        .collect::<Vec<_>>()
+        .join("\n");
     s.push('\n');
     s
 }
