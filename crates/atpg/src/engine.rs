@@ -3,8 +3,8 @@
 //! Mirrors the classical commercial flow:
 //!
 //! 1. **Random phase** — 64-pattern blocks of seeded random patterns are
-//!    fault-simulated with fault dropping (packed `PREBOND3D_LANES` blocks
-//!    to a physical batch, credited block-by-block so results are
+//!    fault-simulated with fault dropping (up to `tuning::lanes()` blocks
+//!    packed to a physical batch, credited block-by-block so results are
 //!    lane-width invariant); only patterns that detect a new fault are
 //!    kept. The phase ends when a block's yield drops below a threshold.
 //! 2. **Deterministic phase** — PODEM targets every remaining fault;

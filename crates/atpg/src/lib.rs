@@ -45,7 +45,6 @@
 //! ```
 
 pub mod access;
-pub mod compaction;
 pub mod diagnosis;
 pub mod engine;
 pub mod fault;

@@ -30,10 +30,11 @@ use prebond3d_netlist::{itc99, traverse, Netlist};
 use prebond3d_obs as obs;
 use prebond3d_partition::{fm, level, random as rpart, PartitionSpec};
 use prebond3d_place::{anneal, grid, place, PlaceConfig, Placement};
-use prebond3d_sta::whatif::ReuseKind;
 use prebond3d_sta::{analyze, StaConfig};
 use prebond3d_wcm::flow::{run_flow, FlowConfig, Method};
-use prebond3d_wcm::{clique, graph, MergePolicy, StructuralProbe, Thresholds, TimingModel};
+use prebond3d_wcm::{
+    clique, graph, MergePolicy, ReuseKind, StructuralProbe, Thresholds, TimingModel,
+};
 
 /// Minimal fixed-effort benchmark runner.
 struct Harness {

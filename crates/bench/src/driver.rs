@@ -61,9 +61,9 @@ pub fn run(experiment: &str, body: impl FnOnce() -> Result<(), FlowError>) -> Ex
 mod tests {
     use super::*;
 
-    // The report collector is process-global; serialize with a local lock
-    // (the report module's tests have their own).
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // The report collector is process-global; serialize with the report
+    // module's tests.
+    use crate::report::tests::LOCK;
 
     fn with_dir(tag: &str, f: impl FnOnce()) {
         let dir =

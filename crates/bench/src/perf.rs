@@ -33,10 +33,11 @@ use prebond3d_obs as obs;
 use prebond3d_place::{place, PlaceConfig};
 use prebond3d_pool as pool;
 use prebond3d_rng::StdRng;
-use prebond3d_sta::whatif::ReuseKind;
 use prebond3d_sta::{analyze, StaConfig};
 use prebond3d_wcm::testability::{AtpgProbe, TestabilityProbe};
-use prebond3d_wcm::{clique, graph, MergePolicy, StructuralProbe, Thresholds, TimingModel};
+use prebond3d_wcm::{
+    clique, graph, MergePolicy, ReuseKind, StructuralProbe, Thresholds, TimingModel,
+};
 
 use crate::report;
 
@@ -155,7 +156,6 @@ pub fn record_work_reductions(circuits: &[&str]) {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     let result = catch_unwind(AssertUnwindSafe(|| work_probe(circuits)));
     tuning::force_no_cache(None);
-    tuning::force_lanes(None);
     if let Err(p) = result {
         prebond3d_resilience::degrade::record(
             "perf",
@@ -270,11 +270,6 @@ fn work_probe(circuits: &[&str]) {
         // includes the retired faults' cone resimulations.
         let atpg_mode = |no_cache: bool| -> (WorkSample, prebond3d_atpg::AtpgResult) {
             tuning::force_no_cache(Some(no_cache));
-            // Pin the lane width so the recorded counters are invariant to
-            // an ambient `PREBOND3D_LANES` (the CI perf-smoke matrix sweeps
-            // it against one checked-in baseline). `no_cache` already forces
-            // single-lane; the optimized mode measures the full-width path.
-            tuning::force_lanes(Some(if no_cache { 1 } else { 8 }));
             let (result, snap) = obs::capture(|| {
                 let cones = ConeSet::compute(atpg_netlist, &roots);
                 let probe = AtpgProbe::default();
@@ -287,7 +282,6 @@ fn work_probe(circuits: &[&str]) {
                 run_stuck_at(atpg_netlist, &access, &AtpgConfig::fast())
             });
             tuning::force_no_cache(None);
-            tuning::force_lanes(None);
             let sample = WorkSample {
                 gate_evals: snap.counter("atpg.gate_evals"),
                 cache_hits: snap.counter("probe.cache_hits"),
@@ -307,8 +301,7 @@ fn work_probe(circuits: &[&str]) {
         // The same 512-pattern full-universe workload at lane width 1
         // (the straight-line oracle) and 8: per-64-block detection masks
         // must agree bit-for-bit, while the wide run amortizes each cone
-        // walk over 8x the patterns. The windows are sized explicitly, so
-        // the recorded counters ignore any ambient `PREBOND3D_LANES`.
+        // walk over 8x the patterns.
         let access = TestAccess::full_scan(atpg_netlist);
         let faults = FaultList::collapsed(atpg_netlist);
         let alive = vec![true; faults.len()];

@@ -3,9 +3,9 @@
 //!
 //! Every experiment binary wraps its work in [`begin`]/[`finish`] (via
 //! [`crate::driver::run`]); the table modules bracket each die's work
-//! with [`die_scope`] (serial), [`par_die_scopes`] (one pool worker per
-//! die) or [`resilient_par_die_scopes`] (the same, plus per-unit panic
-//! isolation and crash-safe checkpointing). The result is one
+//! with [`die_scope`] (serial) or [`resilient_par_die_scopes`] (one pool
+//! worker per die, with per-unit panic isolation and crash-safe
+//! checkpointing). The result is one
 //! `results/run_<experiment>.json` per invocation, holding per-die phase
 //! timings (the `flow/...` span tree), the algorithm counters the text
 //! tables do not show, the chaos/degradation/failed-unit records from
@@ -287,47 +287,12 @@ where
     }
 }
 
-/// Parallel [`die_scope`]: run `f` over `cases` on the pool, one section
-/// per case. Outputs **and** report sections come back in `cases` order
-/// regardless of thread count — each worker captures its own probes
-/// thread-locally and the merge happens here, serially. With no active
-/// collector the cases still run on the pool; only the sections are
-/// skipped. A unit panic propagates; use [`resilient_par_die_scopes`]
-/// for isolation.
-pub fn par_die_scopes<C, T>(
-    cases: &[C],
-    label: impl Fn(&C) -> String + Sync,
-    f: impl Fn(&C) -> T + Sync,
-) -> Vec<T>
-where
-    C: Sync,
-    T: Send,
-{
-    let active = collector_active();
-    // Chunk size 1: dies are few and heavy, so each is its own work unit.
-    let results = pool::par_map_chunked(cases, 1, |case| {
-        let t = Instant::now();
-        let (out, snap) = if active {
-            obs::capture(|| f(case))
-        } else {
-            (f(case), obs::Snapshot::empty())
-        };
-        (out, t.elapsed().as_secs_f64() * 1.0e3, snap)
-    });
-    results
-        .into_iter()
-        .zip(cases)
-        .map(|((out, ms, snap), case)| {
-            if active {
-                push_section_value(section_value(&label(case), ms, &snap));
-            }
-            out
-        })
-        .collect()
-}
-
-/// [`par_die_scopes`] with per-unit panic isolation and crash-safe
-/// checkpointing. Each unit runs under `catch_unwind`; a panicking unit
+/// Parallel [`die_scope`] with per-unit panic isolation and crash-safe
+/// checkpointing: run `f` over `cases` on the pool, one section per case.
+/// Outputs **and** report sections come back in `cases` order regardless
+/// of thread count — each worker captures its own probes thread-locally
+/// and the merge happens here, serially. Each unit runs under
+/// `catch_unwind`; a panicking unit
 /// yields `None`, is recorded via [`record_failure`] and the rest of the
 /// sweep completes. Each *successful* unit is appended to the
 /// experiment's checkpoint as `{key, section, result}` (the result
@@ -765,12 +730,12 @@ pub fn finish_summary() -> Summary {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     // The collector is global state shared with any other test in this
-    // binary that records; serialize access.
-    static LOCK: Mutex<()> = Mutex::new(());
+    // binary that records (the driver tests too); serialize access.
+    pub(crate) static LOCK: Mutex<()> = Mutex::new(());
 
     fn temp_report_dir(tag: &str) -> PathBuf {
         let dir =
@@ -785,9 +750,7 @@ mod tests {
         assert!(COLLECTOR.lock().unwrap().is_none());
         let out = die_scope("x", || 41 + 1);
         assert_eq!(out, 42);
-        let outs = par_die_scopes(&[1, 2, 3], |c| format!("c{c}"), |&c| c * 10);
-        assert_eq!(outs, vec![10, 20, 30]);
-        // The resilient variant still isolates panics without a collector.
+        // The parallel scope still isolates panics without a collector.
         let outs = resilient_par_die_scopes(
             "t",
             &[1usize, 2, 3],
@@ -856,7 +819,8 @@ mod tests {
         let cases: Vec<u64> = (0..6).collect();
         begin("unit_par");
         let outs = pool::with_threads(4, || {
-            par_die_scopes(
+            resilient_par_die_scopes(
+                "t",
                 &cases,
                 |c| format!("die{c}"),
                 |&c| {
@@ -864,9 +828,11 @@ mod tests {
                     obs::count("work.items", c + 1);
                     c * 2
                 },
+                |v| (*v).into(),
+                Value::as_u64,
             )
         });
-        assert_eq!(outs, vec![0, 2, 4, 6, 8, 10]);
+        assert_eq!(outs, [0, 2, 4, 6, 8, 10].map(Some));
         let path = finish().expect("report written");
         std::env::remove_var("PREBOND3D_REPORT_DIR");
 

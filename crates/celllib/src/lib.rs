@@ -30,7 +30,6 @@
 //! ```
 
 pub mod cell;
-pub mod liberty;
 pub mod library;
 pub mod wire;
 

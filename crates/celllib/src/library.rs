@@ -137,9 +137,8 @@ impl Library {
         }
     }
 
-    /// Assemble a library from explicit parts; cell timings start at the
-    /// defaults of [`Library::nangate45_like`] and can be overridden with
-    /// [`Library::set_timing`]. Used by the liberty-format parser.
+    /// Assemble a library from explicit parts; cell timings are the
+    /// defaults of [`Library::nangate45_like`].
     pub fn from_parts(
         name: String,
         wire: WireModel,
@@ -156,11 +155,6 @@ impl Library {
         lib.clk_to_q = clk_to_q;
         lib.setup = setup;
         lib
-    }
-
-    /// Override the timing parameters of one cell kind.
-    pub fn set_timing(&mut self, kind: GateKind, timing: CellTiming) {
-        self.cells[kind_slot(kind)] = timing;
     }
 
     /// Library name.

@@ -8,10 +8,9 @@
 
 use prebond3d_dft::{WrapAssignment, WrapPlan, WrapperSource};
 use prebond3d_netlist::{cone::ConeSet, GateId};
-use prebond3d_sta::whatif::ReuseKind;
 
 use crate::thresholds::Thresholds;
-use crate::timing_model::TimingModel;
+use crate::timing_model::{ReuseKind, TimingModel};
 
 /// Build the Li-style plan.
 pub fn plan(model: &TimingModel<'_>, thresholds: &Thresholds) -> WrapPlan {

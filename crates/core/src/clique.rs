@@ -25,11 +25,10 @@ use std::collections::BinaryHeap;
 use prebond3d_celllib::{Capacitance, Distance, Time};
 use prebond3d_netlist::{GateId, GateKind};
 use prebond3d_obs as obs;
-use prebond3d_sta::whatif::ReuseKind;
 
 use crate::graph::{NodeKind, SharingGraph};
 use crate::thresholds::Thresholds;
-use crate::timing_model::TimingModel;
+use crate::timing_model::{ReuseKind, TimingModel};
 
 /// How merges are priced (the ablation lever between the paper's model and
 /// Agrawal's).

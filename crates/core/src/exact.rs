@@ -163,11 +163,10 @@ mod tests {
     use crate::graph;
     use crate::testability::StructuralProbe;
     use crate::thresholds::Thresholds;
-    use crate::timing_model::TimingModel;
+    use crate::timing_model::{ReuseKind, TimingModel};
     use prebond3d_celllib::{Capacitance, Library, Time};
     use prebond3d_netlist::itc99;
     use prebond3d_place::{place, PlaceConfig};
-    use prebond3d_sta::whatif::ReuseKind;
     use prebond3d_sta::{analyze, StaConfig};
 
     fn small_graph(seed: u64) -> (SharingGraph, prebond3d_netlist::Netlist) {

@@ -18,7 +18,6 @@ use prebond3d_dft::{testable, TestableDie, WrapAssignment, WrapPlan, WrapperSour
 use prebond3d_netlist::{GateId, Netlist};
 use prebond3d_obs as obs;
 use prebond3d_place::Placement;
-use prebond3d_sta::whatif::ReuseKind;
 use prebond3d_sta::{analyze, StaConfig};
 
 use crate::baseline;
@@ -27,7 +26,7 @@ use crate::graph;
 use crate::ordering::OrderingPolicy;
 use crate::testability::StructuralProbe;
 use crate::thresholds::Thresholds;
-use crate::timing_model::TimingModel;
+use crate::timing_model::{ReuseKind, TimingModel};
 
 /// A typed flow failure.
 ///

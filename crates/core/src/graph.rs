@@ -17,11 +17,10 @@
 use prebond3d_netlist::{cone::ConeSet, Csr, GateId, Netlist};
 use prebond3d_obs as obs;
 use prebond3d_pool as pool;
-use prebond3d_sta::whatif::ReuseKind;
 
 use crate::testability::TestabilityProbe;
 use crate::thresholds::Thresholds;
-use crate::timing_model::TimingModel;
+use crate::timing_model::{ReuseKind, TimingModel};
 
 /// Role of a node in the sharing graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -50,7 +50,6 @@ pub mod flow;
 pub mod graph;
 pub mod ordering;
 pub mod report;
-pub mod stack;
 pub mod testability;
 pub mod thresholds;
 pub mod timing_model;
@@ -61,4 +60,4 @@ pub use graph::{NodeKind, SharingGraph};
 pub use ordering::OrderingPolicy;
 pub use testability::{StructuralProbe, TestabilityCost, TestabilityProbe};
 pub use thresholds::Thresholds;
-pub use timing_model::TimingModel;
+pub use timing_model::{ReuseKind, TimingModel};

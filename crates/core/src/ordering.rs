@@ -6,7 +6,8 @@
 //! paper shows improves both fault coverage and wrapper-cell count.
 
 use prebond3d_netlist::Netlist;
-use prebond3d_sta::whatif::ReuseKind;
+
+use crate::timing_model::ReuseKind;
 
 /// Which TSV set to process first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -17,9 +17,17 @@ use prebond3d_celllib::{Capacitance, Distance, Library, Time};
 use prebond3d_netlist::{GateId, GateKind, Netlist};
 use prebond3d_place::Placement;
 use prebond3d_sta::analysis::TimingReport;
-use prebond3d_sta::whatif::ReuseKind;
 
 use crate::thresholds::Thresholds;
+
+/// Direction of the TSV being wrapped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ReuseKind {
+    /// The flip-flop drives the TSV's fanout in test mode (Fig. 3a).
+    Inbound,
+    /// The flip-flop observes the TSV's driver in test mode (Fig. 3b).
+    Outbound,
+}
 
 /// Pricing facade over (netlist, placement, library, STA reports).
 ///

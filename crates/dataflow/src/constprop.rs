@@ -2,9 +2,10 @@
 //! source model.
 //!
 //! A [`SourceModel`] fixes the abstract value of every *source* net
-//! (primary inputs, constants, flip-flop outputs, TSV endpoints); the
-//! fixpoint then derives the value set of every combinational net. The two
-//! stock models mirror the simulator's pre-bond access semantics:
+//! (primary inputs, constants, flip-flop outputs, TSV endpoints); one
+//! topological pass then derives the value set of every combinational
+//! net. The two stock models mirror the simulator's pre-bond access
+//! semantics:
 //!
 //! * [`SourceModel::pre_bond`] — scan-accessible sources (`Input`,
 //!   `ScanDff`, `Wrapper`) take `{0,1}`; floating TSVs and unscanned
@@ -17,10 +18,10 @@
 //! its exact `TestAccess` — including pinned nodes — so the derived facts
 //! are sound for the very patterns the engine simulates.
 
+use prebond3d_netlist::traverse::combinational_order;
 use prebond3d_netlist::{GateId, GateKind, Netlist};
 
 use crate::lattice::{eval_set, ValueSet};
-use crate::solver::{solve, Fixpoint, Framework};
 
 /// Per-source abstract values; combinational nets are ignored.
 #[derive(Debug, Clone)]
@@ -37,7 +38,7 @@ fn base_model(netlist: &Netlist, tsv_in: ValueSet) -> Vec<ValueSet> {
             GateKind::Input | GateKind::ScanDff | GateKind::Wrapper => ValueSet::BOOL,
             GateKind::TsvIn => tsv_in,
             GateKind::Dff => ValueSet::X,
-            // Combinational nets: derived by the fixpoint, not the model.
+            // Combinational nets: derived by the pass, not the model.
             _ => ValueSet::EMPTY,
         })
         .collect()
@@ -78,74 +79,39 @@ impl SourceModel {
     }
 }
 
-struct ConstProp<'a> {
-    netlist: &'a Netlist,
-    model: &'a SourceModel,
-}
-
-impl Framework for ConstProp<'_> {
-    type Fact = ValueSet;
-
-    fn len(&self) -> usize {
-        self.netlist.len()
-    }
-
-    fn initial(&self, node: u32) -> ValueSet {
-        self.model.sets[node as usize]
-    }
-
-    fn transfer(&self, node: u32, facts: &[ValueSet]) -> ValueSet {
-        let id = GateId(node);
-        let gate = self.netlist.gate(id);
-        match gate.kind {
-            // Constants always win, matching the simulator's evaluation
-            // order (they are reasserted inside the topological sweep).
-            GateKind::Const0 => ValueSet::ZERO,
-            GateKind::Const1 => ValueSet::ONE,
-            kind if kind.is_combinational() => {
-                let mut inputs = [ValueSet::EMPTY; 3];
-                for (slot, &i) in inputs.iter_mut().zip(gate.inputs.iter()) {
-                    *slot = facts[i.index()];
-                }
-                eval_set(kind, &inputs[..gate.inputs.len()])
-            }
-            // Sources and sequential Q pins hold their modeled value; the
-            // D-pin side never feeds back within a test frame.
-            _ => self.model.sets[node as usize],
-        }
-    }
-
-    fn dependents(&self, node: u32, out: &mut Vec<u32>) {
-        for &fo in self.netlist.fanout(GateId(node)) {
-            out.push(fo.0);
-        }
-    }
-}
-
-/// The solved value set per net, with iteration statistics.
+/// The value set of every net under one source model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Constants {
     /// Value set per gate output, indexed by `GateId`.
     pub sets: Vec<ValueSet>,
-    /// Rounds the fixpoint took (deterministic).
-    pub rounds: u32,
-    /// Transfer evaluations performed (deterministic).
-    pub evals: u64,
 }
 
 impl Constants {
-    /// Run the fixpoint under `model`.
+    /// Derive every net's value set under `model` in one topological
+    /// pass. Sequential Q pins act as sources (the D-pin side never feeds
+    /// back within a test frame), so the combinational netlist is a DAG
+    /// and the pass computes its unique fixpoint.
     pub fn compute(netlist: &Netlist, model: &SourceModel) -> Constants {
-        let Fixpoint {
-            facts,
-            rounds,
-            evals,
-        } = solve(&ConstProp { netlist, model });
-        Constants {
-            sets: facts,
-            rounds,
-            evals,
+        let mut sets = model.sets.clone();
+        for id in combinational_order(netlist) {
+            let gate = netlist.gate(id);
+            sets[id.index()] = match gate.kind {
+                // Constants always win, matching the simulator's evaluation
+                // order (they are reasserted inside the topological sweep).
+                GateKind::Const0 => ValueSet::ZERO,
+                GateKind::Const1 => ValueSet::ONE,
+                kind if kind.is_combinational() => {
+                    let mut inputs = [ValueSet::EMPTY; 3];
+                    for (slot, &i) in inputs.iter_mut().zip(gate.inputs.iter()) {
+                        *slot = sets[i.index()];
+                    }
+                    eval_set(kind, &inputs[..gate.inputs.len()])
+                }
+                // Sources and sequential Q pins hold their modeled value.
+                _ => continue,
+            };
         }
+        Constants { sets }
     }
 
     /// The value set of one net.

@@ -10,9 +10,7 @@
 //! [`prebond3d_netlist::eval_v3`]), so they are both sound and as precise
 //! as a correlation-free abstraction can be.
 //!
-//! The join is set union; the bottom element is the empty set (used as the
-//! initial fact for combinational nets before their drivers stabilize).
-//! Lattice height per net is 3, which bounds fixpoint iteration.
+//! The join is set union; the bottom element is the empty set.
 
 use prebond3d_netlist::{eval_v3, GateKind, V3};
 
@@ -73,8 +71,7 @@ impl ValueSet {
         self.0 & BIT_X != 0
     }
 
-    /// No value at all (unreached code — only before fixpoint, or for
-    /// nets downstream of an empty set).
+    /// No value at all (only for nets downstream of an empty set).
     pub fn is_empty(self) -> bool {
         self.0 == 0
     }

@@ -1,13 +1,13 @@
 //! # prebond3d-dataflow
 //!
-//! A zero-dependency monotone-framework fixpoint engine over the netlist
-//! DAG, plus the three concrete analyses the flow consumes (DESIGN.md
-//! §14):
+//! Zero-dependency dataflow analyses over the netlist DAG, the three the
+//! flow consumes (DESIGN.md §14):
 //!
 //! 1. **Ternary constant propagation** ([`constprop`]) on the value-set
-//!    lattice `℘({0,1,X})`: flags provably-constant nets, dead gates, and
-//!    — combined with [`reach`] — provably-untestable stuck-at faults.
-//! 2. **X-propagation** (the same fixpoint, read through
+//!    lattice `℘({0,1,X})`, one topological pass: flags provably-constant
+//!    nets, dead gates, and — combined with [`reach`] — provably-untestable
+//!    stuck-at faults.
+//! 2. **X-propagation** (the same pass, read through
 //!    [`constprop::Constants::x_only_nets`]): cones dominated by unscanned
 //!    state elements and floating TSVs that pre-bond test cannot control.
 //! 3. **SCOAP scoring** ([`scoring`]): controllability and observability
@@ -20,9 +20,8 @@
 //!
 //! ## Determinism
 //!
-//! The solver ([`solver::solve`]) iterates in Jacobi rounds and relies on
-//! the pool's order-preserving merge, so every fact vector — and the
-//! round/evaluation statistics — is **byte-identical at any
+//! Every analysis is a serial pass in the netlist's deterministic
+//! combinational order, so every fact vector is **byte-identical at any
 //! `PREBOND3D_THREADS`**. Downstream consumers (ATPG pruning, P38xx
 //! diagnostics, the serve gate) inherit that contract.
 
@@ -31,13 +30,11 @@ pub mod constprop;
 pub mod lattice;
 pub mod reach;
 pub mod scoring;
-pub mod solver;
 
 pub use boundary::BoundaryIssue;
 pub use constprop::{Constants, SourceModel};
 pub use lattice::{eval_set, ValueSet};
 pub use scoring::{AccessView, Scores};
-pub use solver::{solve, Fixpoint, Framework};
 
 #[cfg(test)]
 mod tests {
@@ -73,31 +70,5 @@ mod tests {
             assert_eq!(got.1, base.1, "scoring differs at {t} threads");
             assert_eq!(got.2, base.2, "boundary differs at {t} threads");
         }
-    }
-
-    /// The fixpoint must agree with a plain topological evaluation on the
-    /// DAG (the solver's generality is for ordering-freedom, not for a
-    /// different answer).
-    #[test]
-    fn fixpoint_matches_topological_reference() {
-        let die = itc99::generate_flat("df", 300, 12, 6, 6, 7);
-        let model = SourceModel::pre_bond(&die);
-        let consts = Constants::compute(&die, &model);
-        let order = prebond3d_netlist::traverse::combinational_order(&die);
-        let mut reference = vec![ValueSet::EMPTY; die.len()];
-        for id in order {
-            let gate = die.gate(id);
-            reference[id.index()] = match gate.kind {
-                prebond3d_netlist::GateKind::Const0 => ValueSet::ZERO,
-                prebond3d_netlist::GateKind::Const1 => ValueSet::ONE,
-                kind if kind.is_combinational() => {
-                    let inputs: Vec<ValueSet> =
-                        gate.inputs.iter().map(|&i| reference[i.index()]).collect();
-                    eval_set(kind, &inputs)
-                }
-                _ => model.source(id),
-            };
-        }
-        assert_eq!(consts.sets, reference);
     }
 }

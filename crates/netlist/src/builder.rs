@@ -145,8 +145,8 @@ mod tests {
         let x = b.gate(GateKind::Xor, &[pi, pi], "zero");
         let q = b.dff(x, "q_tmp"); // temporary wiring
         let nq = b.gate(GateKind::Not, &[q], "nq");
-        // Rewire by rebuilding: production code uses edit::rewire; the
-        // builder test just checks the simple path compiles and validates.
+        // The builder cannot rewire the dff to `nq`; this test just checks
+        // that the simple path compiles and validates.
         b.output(nq, "out");
         let n = b.finish().unwrap();
         assert_eq!(n.flip_flops().len(), 1);

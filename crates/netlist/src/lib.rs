@@ -36,7 +36,6 @@ pub mod bitset;
 pub mod builder;
 pub mod cone;
 pub mod csr;
-pub mod edit;
 pub mod error;
 pub mod format;
 pub mod gate;
@@ -46,7 +45,6 @@ pub mod netlist;
 pub mod stats;
 pub mod traverse;
 pub mod tuning;
-pub mod verilog;
 
 pub use bitset::BitSet;
 pub use builder::NetlistBuilder;

@@ -17,8 +17,6 @@ use std::sync::atomic::{AtomicI8, Ordering};
 
 static NO_CACHE_OVERRIDE: AtomicI8 = AtomicI8::new(-1);
 
-static LANES_OVERRIDE: AtomicI8 = AtomicI8::new(-1);
-
 /// Are the hot-path caches disabled? `PREBOND3D_NO_CACHE=1` (or a
 /// programmatic override installed by [`force_no_cache`], which wins).
 pub fn no_cache() -> bool {
@@ -51,44 +49,15 @@ pub fn force_no_cache(v: Option<bool>) {
 }
 
 /// How many 64-pattern lanes the fault simulator packs into one physical
-/// batch: 1, 4, or 8 (64 / 256 / 512 patterns). `PREBOND3D_LANES` selects
-/// the width; anything unrecognized falls back to the default of 8. The
-/// wide paths are proven byte-identical to the W=1 walk by the
-/// lane-equivalence sweeps, so the default favors throughput.
-///
-/// `PREBOND3D_NO_CACHE=1` (the straight-line reference mode) always forces
-/// W=1 — the oracle must stay the unmodified narrow walk.
+/// batch at most: 8 (512 patterns), or 1 in the `PREBOND3D_NO_CACHE=1`
+/// reference mode, whose oracle must stay the unmodified narrow walk.
+/// `FaultSimulator::dispatch` narrows the width further to fit the batch.
 pub fn lanes() -> usize {
     if no_cache() {
-        return 1;
+        1
+    } else {
+        8
     }
-    let raw = match LANES_OVERRIDE.load(Ordering::Relaxed) {
-        -1 => std::env::var("PREBOND3D_LANES")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(8),
-        v => v as usize,
-    };
-    match raw {
-        1 => 1,
-        4 => 4,
-        _ => 8,
-    }
-}
-
-/// Force the lane width for this process regardless of the environment;
-/// `None` restores env-driven behavior. Values outside {1, 4, 8} are
-/// normalized the same way as the env var. Test/bench hook.
-pub fn force_lanes(v: Option<usize>) {
-    LANES_OVERRIDE.store(
-        match v {
-            None => -1,
-            Some(1) => 1,
-            Some(4) => 4,
-            Some(_) => 8,
-        },
-        Ordering::Relaxed,
-    );
 }
 
 /// Serializes unit tests that flip the process-global override.
@@ -109,21 +78,5 @@ mod tests {
         assert!(!no_cache());
         assert!(cache_enabled());
         force_no_cache(None);
-    }
-
-    #[test]
-    fn lane_override_normalizes_and_yields_to_no_cache() {
-        let _l = TEST_LOCK.lock().unwrap();
-        force_lanes(Some(4));
-        assert_eq!(lanes(), 4);
-        force_lanes(Some(1));
-        assert_eq!(lanes(), 1);
-        force_lanes(Some(3)); // out-of-band widths normalize to the widest
-        assert_eq!(lanes(), 8);
-        // The no-cache reference mode is defined as the W=1 oracle.
-        force_no_cache(Some(true));
-        assert_eq!(lanes(), 1);
-        force_no_cache(None);
-        force_lanes(None);
     }
 }

@@ -29,7 +29,6 @@
 //! ```
 
 pub mod anneal;
-pub mod density;
 pub mod grid;
 pub mod wirelength;
 

@@ -188,11 +188,12 @@ where
     let next = AtomicUsize::new(0);
     let poisoned = AtomicBool::new(false);
     let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(nchunks));
-    // A budgeted caller (e.g. a serving job running under a per-job
-    // `budget_ms`) keeps its budget inside the parallel region: the
-    // thread-local override is copied into every worker, so deadlines
-    // constructed there expire exactly as they would inline.
-    let inherited_budget = prebond3d_resilience::budget::thread_budget();
+    // A caller running a job (e.g. a serving job with a per-job
+    // `budget_ms`) keeps its job context inside the parallel region: the
+    // context is copied into every worker, so deadlines constructed there
+    // expire exactly as they would inline and degradations land in the
+    // job's own sink.
+    let job = prebond3d_resilience::job::current();
 
     std::thread::scope(|s| {
         // RAII worker marker: cleared even when `work` unwinds, so the
@@ -232,11 +233,11 @@ where
                 let results = &results;
                 let init = &init;
                 let work = &work;
+                let job = &job;
                 s.spawn(move || {
                     let _mark = WorkerMark::enter();
                     let _poison = PoisonOnPanic(poisoned);
-                    let _budget =
-                        prebond3d_resilience::budget::install_thread_budget(inherited_budget);
+                    let _job = prebond3d_resilience::job::install(job.clone());
                     if traced {
                         // Name the track before the first claim, so every
                         // spawned worker appears in the timeline even when

@@ -70,21 +70,13 @@ impl Default for Deadline {
 /// `-2` = unset (consult env), `-1` = forced off, `>= 0` = forced value.
 static BUDGET_OVERRIDE: AtomicI64 = AtomicI64::new(-2);
 
-thread_local! {
-    /// Per-thread budget override: `None` = no override (fall through to
-    /// the process override / environment), `Some(Some(ms))` = this thread
-    /// runs under an `ms`-millisecond phase budget, `Some(None)` = this
-    /// thread explicitly has *no* budget even if the process does.
-    static THREAD_BUDGET: std::cell::Cell<Option<Option<u64>>> =
-        const { std::cell::Cell::new(None) };
-}
-
 /// The configured per-phase budget in milliseconds, if any. Resolution
-/// order: thread override (a serving job's `budget_ms`), process override
-/// ([`force_budget_ms`]), then `PREBOND3D_BUDGET_MS`.
+/// order: the thread's job budget (a serving job's `budget_ms`, see
+/// [`crate::job::run`]), the process override ([`force_budget_ms`]), then
+/// `PREBOND3D_BUDGET_MS`.
 pub fn budget_ms() -> Option<u64> {
-    if let Some(thread) = THREAD_BUDGET.with(std::cell::Cell::get) {
-        return thread;
+    if let Some(ms) = crate::job::with(|c| c.budget_ms) {
+        return Some(ms);
     }
     match BUDGET_OVERRIDE.load(Ordering::Relaxed) {
         -1 => None,
@@ -93,41 +85,6 @@ pub fn budget_ms() -> Option<u64> {
             .ok()
             .and_then(|v| v.trim().parse::<u64>().ok()),
     }
-}
-
-/// The raw thread-local override, for propagating into threads this one
-/// spawns (the pool copies it into its workers so a budgeted serving job
-/// stays budgeted inside parallel regions).
-pub fn thread_budget() -> Option<Option<u64>> {
-    THREAD_BUDGET.with(std::cell::Cell::get)
-}
-
-/// RAII guard restoring the previous thread budget on drop.
-#[must_use = "dropping the guard immediately undoes the override"]
-pub struct ThreadBudgetGuard {
-    prev: Option<Option<u64>>,
-}
-
-impl Drop for ThreadBudgetGuard {
-    fn drop(&mut self) {
-        THREAD_BUDGET.with(|t| t.set(self.prev));
-    }
-}
-
-/// Install a thread-local budget override (see [`budget_ms`] for the
-/// resolution order) until the returned guard drops. Pass a value read
-/// from [`thread_budget`] to inherit a spawning thread's override.
-pub fn install_thread_budget(v: Option<Option<u64>>) -> ThreadBudgetGuard {
-    let prev = THREAD_BUDGET.with(|t| t.replace(v));
-    ThreadBudgetGuard { prev }
-}
-
-/// Run `f` with this thread budgeted to `ms` milliseconds per phase
-/// (`None` leaves the ambient configuration untouched). The override is
-/// restored on exit, panics included.
-pub fn with_thread_budget_ms<R>(ms: Option<u64>, f: impl FnOnce() -> R) -> R {
-    let _guard = ms.map(|ms| install_thread_budget(Some(Some(ms))));
-    f()
 }
 
 /// Is a phase budget configured at all? (`lintflow` consults this to
@@ -178,35 +135,34 @@ mod tests {
     fn thread_override_beats_process_override_and_restores() {
         force_budget_ms(Some(Some(500)));
         assert_eq!(budget_ms(), Some(500));
-        let out = with_thread_budget_ms(Some(7), || {
+        let (out, _) = crate::job::run(Some(7), || {
             assert_eq!(budget_ms(), Some(7));
-            assert_eq!(thread_budget(), Some(Some(7)));
-            // An inner "no budget" override wins over everything.
-            let g = install_thread_budget(Some(None));
-            assert_eq!(budget_ms(), None);
-            drop(g);
-            budget_ms()
+            // `None` keeps the enclosing job's budget.
+            crate::job::run(None, budget_ms).0
         });
         assert_eq!(out, Some(7));
         assert_eq!(budget_ms(), Some(500), "thread override restored");
-        assert_eq!(thread_budget(), None);
-        // `None` means "do not override".
-        with_thread_budget_ms(None, || assert_eq!(budget_ms(), Some(500)));
+        crate::job::run(None, || assert_eq!(budget_ms(), Some(500)));
         force_budget_ms(None);
     }
 
     #[test]
     fn thread_override_is_thread_local() {
-        let _g = install_thread_budget(Some(Some(3)));
-        assert_eq!(budget_ms(), Some(3));
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                assert_eq!(thread_budget(), None, "fresh threads are unbudgeted");
-                let _inner = install_thread_budget(thread_budget());
-                assert_eq!(thread_budget(), None);
+        crate::job::run(Some(3), || {
+            assert_eq!(budget_ms(), Some(3));
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    assert_eq!(
+                        crate::job::current().budget_ms,
+                        None,
+                        "fresh threads are unbudgeted"
+                    );
+                    let _inherited = crate::job::install(crate::job::current());
+                    assert_eq!(crate::job::current().budget_ms, None);
+                });
             });
+            assert_eq!(budget_ms(), Some(3));
         });
-        assert_eq!(budget_ms(), Some(3));
     }
 
     #[test]

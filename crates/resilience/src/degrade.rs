@@ -1,12 +1,15 @@
-//! Process-global registry of graceful-degradation records.
+//! Graceful-degradation records.
 //!
 //! When a phase cuts itself short — PODEM aborting faults at its budget,
 //! annealing returning best-so-far, exact clique search stopping at its
 //! incumbent, a report write falling back to stderr — it records a
-//! structured entry here. The bench collector drains the registry once per
-//! `finish()` and folds the entries into `results/run_<exp>.json` under
-//! `degradations`, so a degraded run names exactly what it skipped instead
-//! of silently producing weaker numbers.
+//! structured entry. Inside a job ([`crate::job::run`]) the entry goes to
+//! that job's sink, so concurrent serving jobs never see each other's
+//! records. Everywhere else it goes to the process-global registry: the
+//! bench collector drains it once per `finish()` and folds the entries
+//! into `results/run_<exp>.json` under `degradations`, so a degraded run
+//! names exactly what it skipped instead of silently producing weaker
+//! numbers.
 
 use std::sync::Mutex;
 
@@ -24,18 +27,27 @@ pub struct Degradation {
 
 static REGISTRY: Mutex<Vec<Degradation>> = Mutex::new(Vec::new());
 
-/// Record one degradation.
+/// Record one degradation into the current job's sink, or into the
+/// process registry outside any job.
 pub fn record(phase: &'static str, action: &'static str, detail: impl Into<String>) {
     let detail = detail.into();
     crate::hooks::emit("degrade", phase, &format!("{action}: {detail}"));
-    REGISTRY.lock().unwrap().push(Degradation {
+    let entry = Degradation {
         phase,
         action,
         detail,
-    });
+    };
+    match crate::job::with(|c| c.sink.clone()) {
+        Some(sink) => sink
+            .lock()
+            .expect("no recorder panics while pushing")
+            .push(entry),
+        None => REGISTRY.lock().unwrap().push(entry),
+    }
 }
 
-/// Drain the registry (the collector calls this once per `finish`).
+/// Drain the process registry (the collector calls this once per
+/// `finish`).
 pub fn drain() -> Vec<Degradation> {
     std::mem::take(&mut *REGISTRY.lock().unwrap())
 }

@@ -10,9 +10,10 @@
 //!   checked inside the long loops (PODEM backtracking, fault-simulation
 //!   batches, clique merging, annealing), degrading gracefully instead of
 //!   running unbounded;
-//! * [`degrade`] — a process-global registry of structured degradation /
-//!   recovery records that the bench collector folds into
-//!   `results/run_<exp>.json`;
+//! * [`degrade`] — a registry of structured degradation / recovery
+//!   records that the bench collector folds into
+//!   `results/run_<exp>.json`, and a serving job reads from its own
+//!   [`job`]-scoped sink;
 //! * [`io`] — atomic (temp-file + rename) report writes and tolerant
 //!   JSON-lines checkpoint primitives with contextual errors naming the
 //!   file, feeding crash-safe resume (`PREBOND3D_RESUME=1`).
@@ -26,6 +27,7 @@ pub mod chaos;
 pub mod degrade;
 pub mod hooks;
 pub mod io;
+pub mod job;
 
 pub use budget::Deadline;
 pub use io::atomic_write;

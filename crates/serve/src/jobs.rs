@@ -220,12 +220,10 @@ fn report_json(spec: &JobSpec, s: &JobSuccess) -> Value {
 /// state (the flow's own locks are per-probe and per-call).
 pub fn run_job(spec: &JobSpec, cache: &WarmCache) -> JobOutcome {
     let t0 = Instant::now();
-    // Events recorded before this job are not its degradations. This is a
-    // process-global registry, so attribution across *concurrent* jobs is
-    // coarse (documented in DESIGN.md §13): a degradation is charged to
-    // every job in flight when it drains.
-    let stale = resil::degrade::drain();
-    drop(stale);
+    // The job records its degradations into its own sink (below). What
+    // lands in the process registry was recorded outside any job; drop it
+    // so a long-running daemon's registry stays bounded.
+    drop(resil::degrade::drain());
 
     let cache_tag = std::cell::Cell::new("miss");
     let cached_key = std::cell::Cell::new(None::<u64>);
@@ -285,10 +283,11 @@ pub fn run_job(spec: &JobSpec, cache: &WarmCache) -> JobOutcome {
         })
     };
     // A per-job `budget_ms` overrides the ambient phase budget on this
-    // worker thread for the duration of the job; the pool copies the
-    // override into its scoped workers, so parallel phases (ATPG pair
-    // scans, fault sim) see the same deadline the job asked for.
-    let (result, snap) = resil::budget::with_thread_budget_ms(spec.budget_ms, || {
+    // worker thread for the duration of the job, and degradations go to a
+    // job-scoped sink; the pool copies both into its scoped workers, so
+    // parallel phases (ATPG pair scans, fault sim) see the same deadline
+    // and charge their degradations to this job alone.
+    let ((result, snap), degradations) = resil::job::run(spec.budget_ms, || {
         obs::capture_recorded(|| catch_unwind(AssertUnwindSafe(body)))
     });
 
@@ -298,7 +297,6 @@ pub fn run_job(spec: &JobSpec, cache: &WarmCache) -> JobOutcome {
         cache.reweigh(key);
     }
 
-    let degradations = resil::degrade::drain();
     let mut boundary_issues: Option<Vec<String>> = None;
     let (code, report, error) = match result {
         Ok(Ok(success)) => {
@@ -503,6 +501,29 @@ mod tests {
         // Degradation is telemetry, not report shape: the report is still
         // present and well-formed.
         assert!(out.done.get("report").is_some());
+    }
+
+    #[test]
+    fn degradations_recorded_elsewhere_are_not_charged_to_the_job() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let cache = WarmCache::new(256 << 20);
+        let line = r#"{"op":"submit","id":"q","circuit":"b11","die":1}"#;
+        let stop = AtomicBool::new(false);
+        let out = std::thread::scope(|s| {
+            // Stands in for a concurrent budgeted job (or any code outside
+            // a job) cutting phases short while this job runs.
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    resil::degrade::record("anneal", "best_so_far", "another job");
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                }
+            });
+            let out = run_job(&spec(line), &cache);
+            stop.store(true, Ordering::Relaxed);
+            out
+        });
+        assert_eq!(out.done.get("degraded").and_then(Value::as_u64), Some(0));
+        assert_eq!(out.code, 0, "{:?}", out.done.get("error"));
     }
 
     #[test]

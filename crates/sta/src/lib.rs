@@ -14,9 +14,10 @@
 //! Two consumers in the paper's flow:
 //!
 //! 1. Algorithm 1 reads `slack(n)` for outbound TSVs and
-//!    `capacity_load(n)` for inbound TSVs when deciding node eligibility,
-//!    and the [`whatif`] module prices candidate scan-flip-flop reuse
-//!    (extra mux/XOR load + wire) without a full re-analysis.
+//!    `capacity_load(n)` for inbound TSVs when deciding node eligibility;
+//!    `prebond3d_wcm::TimingModel` prices each candidate scan-flip-flop
+//!    reuse (extra mux/XOR load + wire) against this report without a
+//!    full re-analysis.
 //! 2. Table III's "timing violation" column is a full re-analysis of the
 //!    DFT-modified netlist ([`analyze`] + [`TimingReport::has_violation`]).
 //!
@@ -36,16 +37,12 @@
 //! ```
 
 pub mod analysis;
-pub mod paths;
 pub mod report;
-pub mod whatif;
 
 use prebond3d_celllib::Time;
 
 pub use analysis::{analyze, analyze_with_statics, TimingReport};
-pub use paths::{k_worst_paths, slack_histogram, TimingPath};
 pub use report::critical_path_text;
-pub use whatif::{ReuseKind, TapCost};
 
 /// Analysis configuration: the timing constraints.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -13,9 +13,10 @@ use prebond3d::dft::prebond_access;
 use prebond3d::dft::{testable, WrapAssignment, WrapPlan, WrapperSource};
 use prebond3d::netlist::itc99;
 use prebond3d::place::{place, PlaceConfig};
-use prebond3d::sta::whatif::ReuseKind;
 use prebond3d::sta::{analyze, StaConfig};
-use prebond3d::wcm::{clique, graph, MergePolicy, StructuralProbe, Thresholds, TimingModel};
+use prebond3d::wcm::{
+    clique, graph, MergePolicy, ReuseKind, StructuralProbe, Thresholds, TimingModel,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = itc99::circuit("b12").expect("known benchmark");

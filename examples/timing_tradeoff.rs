@@ -11,11 +11,12 @@ use prebond3d::celllib::{Distance, Library, Time};
 use prebond3d::netlist::itc99;
 use prebond3d::place::{place, PlaceConfig};
 use prebond3d::sta::analysis::analyze_with_statics;
-use prebond3d::sta::whatif::ReuseKind;
 use prebond3d::sta::StaConfig;
 use prebond3d::wcm::flow::calibrate_tight_period;
 use prebond3d::wcm::flow::{run_flow, FlowConfig, Method};
-use prebond3d::wcm::{clique, graph, MergePolicy, StructuralProbe, Thresholds, TimingModel};
+use prebond3d::wcm::{
+    clique, graph, MergePolicy, ReuseKind, StructuralProbe, Thresholds, TimingModel,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = itc99::circuit("b12").expect("known benchmark");

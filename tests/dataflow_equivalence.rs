@@ -5,8 +5,8 @@
 //! simulation must leave every ATPG artifact — pattern set, coverage,
 //! untestable count — byte-identical to the `PREBOND3D_NO_CACHE`
 //! reference that never prunes, and the analysis itself must be
-//! byte-identical at every thread count (the worklist solver is
-//! deterministic by construction; this sweep pins it).
+//! byte-identical at every thread count (each analysis is a serial pass
+//! in combinational order; this sweep pins it).
 //!
 //! One `#[test]` function only: the no-cache override
 //! (`tuning::force_no_cache`) is process-global, so the whole sweep runs
@@ -47,13 +47,11 @@ fn analysis_fingerprint(netlist: &prebond3d::netlist::Netlist) -> String {
     let scores = Scores::compute(netlist, &AccessView::pre_bond(netlist));
     let issues = boundary::check(netlist);
     format!(
-        "pre_consts={:?}\npre_x={:?}\nwrapped_consts={:?}\nrounds={}/{}\n\
+        "pre_consts={:?}\npre_x={:?}\nwrapped_consts={:?}\n\
          cc0={:?}\ncc1={:?}\nco={:?}\nissues={:?}",
         pre.derived_constants(netlist),
         pre.x_only_nets(netlist),
         wrapped.derived_constants(netlist),
-        pre.rounds,
-        wrapped.rounds,
         scores.cc0,
         scores.cc1,
         scores.co,
