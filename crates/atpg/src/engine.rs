@@ -60,8 +60,10 @@ impl AtpgConfig {
     }
 
     /// Effort scaled to the netlist size: full effort below 15 k gates,
-    /// reduced deterministic effort above (PODEM implication is linear in
-    /// netlist size, so large dies pay quadratically for hard faults).
+    /// reduced deterministic effort above. The threshold dates from when
+    /// every PODEM implication step was a full pass over the netlist.
+    /// Implication is event-driven now (DESIGN.md §17), but the threshold
+    /// stays, because moving it would change the generated tests.
     pub fn scaled_for(netlist_len: usize) -> Self {
         if netlist_len > 15_000 {
             AtpgConfig {

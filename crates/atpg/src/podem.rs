@@ -6,9 +6,20 @@
 //! controllability, and an X-path check prunes dead branches. A backtrack
 //! limit bounds worst-case effort; aborted faults are reported as such so
 //! coverage accounting can distinguish *undetectable* from *unresolved*.
+//!
+//! Implication is event-driven (DESIGN.md §17). Good and faulty values are
+//! a pure function of the source assignment, so each search opens with one
+//! full topological pass and afterwards re-evaluates only what a decision
+//! or a backtrack changed: every write to the source assignment queues its
+//! source gate, and `Podem::imply` re-evaluates queued gates level by
+//! level, queueing a gate's fanout only when one of its two values moved.
+//! Outside the fault's fanout cone the faulty machine equals the good one,
+//! so the faulty evaluation and the D-frontier scan stay inside the cone.
+//! In unit tests every implication step is checked against a fresh full
+//! pass.
 
 use prebond3d_dataflow::scoring::{Scores, INF};
-use prebond3d_netlist::{eval_v3, GateId, GateKind, Netlist, V3};
+use prebond3d_netlist::{eval_v3, traverse, Csr, GateId, GateKind, Netlist, V3};
 use prebond3d_obs as obs;
 use prebond3d_resilience::Deadline;
 
@@ -20,8 +31,8 @@ use crate::fault::{Fault, FaultSite};
 pub struct PodemConfig {
     /// Maximum backtracks before a fault is abandoned.
     pub backtrack_limit: usize,
-    /// Cooperative wall-clock deadline: checked once per implication pass,
-    /// so an expired budget aborts the fault within one pass of the limit.
+    /// Cooperative wall-clock deadline: checked once per implication step,
+    /// so an expired budget aborts the fault within one step of the limit.
     /// [`Deadline::none`] (the default) never reads the clock.
     pub deadline: Deadline,
 }
@@ -47,6 +58,15 @@ pub enum PodemOutcome {
     Aborted,
 }
 
+/// What a search is after.
+#[derive(Debug, Clone, Copy)]
+enum Goal {
+    /// A miscompare of `fault` at an observed node.
+    Detect(Fault),
+    /// A good-machine value on a gate's output.
+    Justify(GateId, bool),
+}
+
 /// A prepared PODEM engine for one (netlist, access) pair.
 #[derive(Debug)]
 pub struct Podem<'a> {
@@ -54,11 +74,29 @@ pub struct Podem<'a> {
     access: &'a TestAccess,
     scoap: &'a Scores,
     order: Vec<GateId>,
+    /// Each gate's fanout, less the sequential gates: those are sources,
+    /// whose value is the assignment's rather than their input's.
+    fanout: Csr,
     config: PodemConfig,
     // Scratch, reused across faults:
     good: Vec<V3>,
     faulty: Vec<V3>,
     pi_values: Vec<V3>,
+    /// Set when `pi_values` was reset: the next implication is a full pass.
+    full_pass_due: bool,
+    events: Events,
+    /// Combinational gates of the current fault's fanout cone.
+    cone: Vec<GateId>,
+    /// Every gate of that cone, its root included.
+    in_cone: Marks,
+    /// D-frontier candidates `(observability, gate)`.
+    frontier: Vec<(u32, GateId)>,
+    /// The X-path walk's visited gates and stack.
+    visited: Marks,
+    stack: Vec<GateId>,
+    /// Work of the current call: implication steps and gates evaluated.
+    implications: u64,
+    evals: u64,
 }
 
 impl<'a> Podem<'a> {
@@ -69,15 +107,30 @@ impl<'a> Podem<'a> {
         scoap: &'a Scores,
         config: PodemConfig,
     ) -> Self {
+        let arcs: Vec<(u32, u32)> = netlist
+            .iter()
+            .flat_map(|(id, _)| netlist.fanout(id).iter().map(move |&fo| (id.0, fo.0)))
+            .filter(|&(_, fo)| !netlist.gate(GateId(fo)).kind.is_source())
+            .collect();
         Podem {
             netlist,
             access,
             scoap,
-            order: prebond3d_netlist::traverse::combinational_order(netlist),
+            order: traverse::combinational_order(netlist),
+            fanout: Csr::from_arcs(netlist.len(), &arcs),
             config,
             good: vec![V3::X; netlist.len()],
             faulty: vec![V3::X; netlist.len()],
             pi_values: vec![V3::X; access.width()],
+            full_pass_due: true,
+            events: Events::new(traverse::levels(netlist)),
+            cone: Vec::new(),
+            frontier: Vec::new(),
+            in_cone: Marks::new(netlist.len()),
+            visited: Marks::new(netlist.len()),
+            stack: Vec::new(),
+            implications: 0,
+            evals: 0,
         }
     }
 
@@ -85,134 +138,44 @@ impl<'a> Podem<'a> {
     /// good machine (no fault, no propagation requirement). Used to build
     /// the initialization vector of two-pattern transition tests.
     pub fn justify(&mut self, target: GateId, value: bool) -> PodemOutcome {
-        let mut backtracks = 0usize;
-        let outcome = self.justify_search(target, value, &mut backtracks);
-        obs::count("podem.justify_calls", 1);
-        obs::count("podem.backtracks", backtracks as u64);
-        outcome
-    }
-
-    fn justify_search(
-        &mut self,
-        target: GateId,
-        value: bool,
-        backtracks: &mut usize,
-    ) -> PodemOutcome {
-        self.pi_values.iter_mut().for_each(|v| *v = V3::X);
-        for &(node, v) in self.access.pinned() {
-            let rank = self.access.rank_of(node).expect("pinned is controllable");
-            self.pi_values[rank] = V3::from_bool(v);
-        }
-        let mut decisions: Vec<(usize, bool, bool)> = Vec::new();
-        loop {
-            if self.config.deadline.expired() {
-                return PodemOutcome::Aborted;
-            }
-            self.imply_good();
-            match self.good[target.index()].to_bool() {
-                Some(v) if v == value => return PodemOutcome::Test(self.pi_values.clone()),
-                Some(_) => {
-                    // Wrong value under current decisions: backtrack.
-                    if !Self::backtrack(
-                        &mut decisions,
-                        &mut self.pi_values,
-                        backtracks,
-                        self.config.backtrack_limit,
-                    ) {
-                        return if *backtracks > self.config.backtrack_limit {
-                            PodemOutcome::Aborted
-                        } else {
-                            PodemOutcome::Untestable
-                        };
-                    }
-                }
-                None => match self.backtrace(target, value) {
-                    Some((rank, v)) => {
-                        decisions.push((rank, v, false));
-                        self.pi_values[rank] = V3::from_bool(v);
-                    }
-                    None => {
-                        if !Self::backtrack(
-                            &mut decisions,
-                            &mut self.pi_values,
-                            backtracks,
-                            self.config.backtrack_limit,
-                        ) {
-                            return if *backtracks > self.config.backtrack_limit {
-                                PodemOutcome::Aborted
-                            } else {
-                                PodemOutcome::Untestable
-                            };
-                        }
-                    }
-                },
-            }
-        }
-    }
-
-    /// Pop/flip the decision stack; `false` when the search is exhausted
-    /// or the backtrack budget ran out.
-    fn backtrack(
-        decisions: &mut Vec<(usize, bool, bool)>,
-        pi_values: &mut [V3],
-        backtracks: &mut usize,
-        limit: usize,
-    ) -> bool {
-        loop {
-            match decisions.pop() {
-                None => return false,
-                Some((rank, v, false)) => {
-                    *backtracks += 1;
-                    if *backtracks > limit {
-                        return false;
-                    }
-                    decisions.push((rank, !v, true));
-                    pi_values[rank] = V3::from_bool(!v);
-                    return true;
-                }
-                Some((rank, _, true)) => {
-                    pi_values[rank] = V3::X;
-                }
-            }
-        }
-    }
-
-    /// Good-machine-only forward implication.
-    fn imply_good(&mut self) {
-        let order = std::mem::take(&mut self.order);
-        for &id in &order {
-            let gate = self.netlist.gate(id);
-            self.good[id.index()] = match gate.kind {
-                GateKind::Const0 => V3::Zero,
-                GateKind::Const1 => V3::One,
-                _ if gate.kind.is_source() => match self.access.rank_of(id) {
-                    Some(rank) => self.pi_values[rank],
-                    None => V3::X,
-                },
-                _ => {
-                    let inputs: Vec<V3> =
-                        gate.inputs.iter().map(|&x| self.good[x.index()]).collect();
-                    eval_v3(gate.kind, &inputs)
-                }
-            };
-        }
-        self.order = order;
+        self.run(Goal::Justify(target, value))
     }
 
     /// Try to generate a test for `fault`.
     pub fn generate(&mut self, fault: Fault) -> PodemOutcome {
+        self.run(Goal::Detect(fault))
+    }
+
+    /// Search for `goal` and emit the call's work counters.
+    fn run(&mut self, goal: Goal) -> PodemOutcome {
         let mut backtracks = 0usize;
-        let outcome = self.generate_search(fault, &mut backtracks);
-        obs::count("podem.generate_calls", 1);
+        self.implications = 0;
+        self.evals = 0;
+        let outcome = self.search(goal, &mut backtracks);
+        let calls = match goal {
+            Goal::Detect(_) => "podem.generate_calls",
+            Goal::Justify(..) => "podem.justify_calls",
+        };
+        obs::count(calls, 1);
         obs::count("podem.backtracks", backtracks as u64);
+        obs::count("podem.implications", self.implications);
+        obs::count("podem.implication_evals", self.evals);
         outcome
     }
 
-    fn generate_search(&mut self, fault: Fault, backtracks: &mut usize) -> PodemOutcome {
-        self.pi_values.iter_mut().for_each(|v| *v = V3::X);
+    fn search(&mut self, goal: Goal, backtracks: &mut usize) -> PodemOutcome {
+        let fault = match goal {
+            Goal::Detect(fault) => Some(fault),
+            Goal::Justify(..) => None,
+        };
+        self.pi_values.fill(V3::X);
         for &(node, v) in self.access.pinned() {
             let rank = self.access.rank_of(node).expect("pinned is controllable");
             self.pi_values[rank] = V3::from_bool(v);
+        }
+        self.full_pass_due = true;
+        if let Some(fault) = fault {
+            self.collect_cone(fault.site.propagation_root());
         }
 
         // Decision stack: (rank, value, already-flipped).
@@ -223,98 +186,190 @@ impl<'a> Podem<'a> {
                 return PodemOutcome::Aborted;
             }
             self.imply(fault);
-            if self.detected() {
-                return PodemOutcome::Test(self.pi_values.clone());
-            }
-
-            let step = self
-                .objective(fault)
-                .and_then(|(target, value)| self.backtrace(target, value));
-
+            let step = match goal {
+                Goal::Detect(fault) => {
+                    if self.detected() {
+                        return PodemOutcome::Test(self.pi_values.clone());
+                    }
+                    self.objective(fault)
+                        .and_then(|(target, value)| self.backtrace(target, value))
+                }
+                Goal::Justify(target, value) => match self.good[target.index()].to_bool() {
+                    Some(v) if v == value => return PodemOutcome::Test(self.pi_values.clone()),
+                    // Wrong value under current decisions: backtrack.
+                    Some(_) => None,
+                    None => self.backtrace(target, value),
+                },
+            };
             match step {
                 Some((rank, value)) => {
                     decisions.push((rank, value, false));
-                    self.pi_values[rank] = V3::from_bool(value);
+                    self.assign(rank, V3::from_bool(value));
                 }
+                // Dead end: backtrack.
                 None => {
-                    // Dead end: backtrack.
-                    loop {
-                        match decisions.pop() {
-                            None => return PodemOutcome::Untestable,
-                            Some((rank, v, false)) => {
-                                *backtracks += 1;
-                                if *backtracks > self.config.backtrack_limit {
-                                    return PodemOutcome::Aborted;
-                                }
-                                decisions.push((rank, !v, true));
-                                self.pi_values[rank] = V3::from_bool(!v);
-                                break;
-                            }
-                            Some((rank, _, true)) => {
-                                self.pi_values[rank] = V3::X;
-                            }
-                        }
+                    if !self.backtrack(&mut decisions, backtracks) {
+                        return if *backtracks > self.config.backtrack_limit {
+                            PodemOutcome::Aborted
+                        } else {
+                            PodemOutcome::Untestable
+                        };
                     }
                 }
             }
         }
     }
 
-    /// Full forward implication of both machines.
-    fn imply(&mut self, fault: Fault) {
-        let order = std::mem::take(&mut self.order);
-        for &id in &order {
-            let gate = self.netlist.gate(id);
-            let i = id.index();
-            let g = match gate.kind {
-                GateKind::Const0 => V3::Zero,
-                GateKind::Const1 => V3::One,
-                _ if gate.kind.is_source() => match self.access.rank_of(id) {
-                    Some(rank) => self.pi_values[rank],
-                    None => V3::X,
-                },
-                _ => {
-                    let inputs: Vec<V3> =
-                        gate.inputs.iter().map(|&x| self.good[x.index()]).collect();
-                    eval_v3(gate.kind, &inputs)
+    /// Pop/flip the decision stack; `false` when the search is exhausted
+    /// or the backtrack budget ran out.
+    fn backtrack(
+        &mut self,
+        decisions: &mut Vec<(usize, bool, bool)>,
+        backtracks: &mut usize,
+    ) -> bool {
+        loop {
+            match decisions.pop() {
+                None => return false,
+                Some((rank, v, false)) => {
+                    *backtracks += 1;
+                    if *backtracks > self.config.backtrack_limit {
+                        return false;
+                    }
+                    decisions.push((rank, !v, true));
+                    self.assign(rank, V3::from_bool(!v));
+                    return true;
                 }
-            };
-            self.good[i] = g;
+                Some((rank, _, true)) => self.assign(rank, V3::X),
+            }
+        }
+    }
 
-            // Faulty machine with injection.
-            let f = match fault.site {
-                FaultSite::Output(site) if site == id => V3::from_bool(fault.stuck.value()),
-                FaultSite::Input { gate: fg, pin } if fg == id && gate.kind.is_combinational() => {
-                    let inputs: Vec<V3> = gate
-                        .inputs
-                        .iter()
-                        .enumerate()
-                        .map(|(k, &x)| {
-                            if k == pin as usize {
-                                V3::from_bool(fault.stuck.value())
-                            } else {
-                                self.faulty[x.index()]
-                            }
-                        })
-                        .collect();
-                    eval_v3(gate.kind, &inputs)
-                }
-                _ => {
-                    if gate.kind.is_source() || !gate.kind.is_combinational() {
-                        g
-                    } else {
-                        let inputs: Vec<V3> = gate
-                            .inputs
-                            .iter()
-                            .map(|&x| self.faulty[x.index()])
-                            .collect();
-                        eval_v3(gate.kind, &inputs)
+    /// Set a source's value and queue its gate: the only write to
+    /// `pi_values` after a search's initial pass.
+    fn assign(&mut self, rank: usize, value: V3) {
+        self.pi_values[rank] = value;
+        self.events.push(self.access.controllable()[rank].0);
+    }
+
+    /// One implication step: bring `good` and `faulty` up to date with
+    /// `pi_values`. The first step of a search is a full topological pass;
+    /// later steps re-evaluate the queued gates level by level and queue a
+    /// gate's fanout only when it changed.
+    fn imply(&mut self, fault: Option<Fault>) {
+        self.implications += 1;
+        if std::mem::take(&mut self.full_pass_due) {
+            self.events.clear();
+            for pos in 0..self.order.len() {
+                self.eval_gate(self.order[pos], fault);
+            }
+            self.evals += self.order.len() as u64;
+        } else {
+            let mut level = 0;
+            while self.events.pending > 0 {
+                let mut bucket = std::mem::take(&mut self.events.buckets[level]);
+                for &i in &bucket {
+                    self.events.queued[i as usize] = false;
+                    if self.eval_gate(GateId(i), fault) {
+                        for &fo in self.fanout.neighbors(i as usize) {
+                            self.events.push(fo);
+                        }
                     }
                 }
-            };
-            self.faulty[i] = f;
+                self.events.pending -= bucket.len();
+                self.evals += bucket.len() as u64;
+                bucket.clear();
+                self.events.buckets[level] = bucket;
+                level += 1;
+            }
         }
-        self.order = order;
+        #[cfg(test)]
+        self.assert_matches_full_pass(fault);
+    }
+
+    /// Evaluate `id` in both machines from its inputs' current values;
+    /// `true` when either value changed.
+    fn eval_gate(&mut self, id: GateId, fault: Option<Fault>) -> bool {
+        // Outside the fault's cone the faulty machine is the good one.
+        let fault = fault.filter(|_| self.in_cone.contains(id));
+        let (g, f) = self.gate_values(id, fault, &self.good, &self.faulty);
+        let i = id.index();
+        let changed = self.good[i] != g || self.faulty[i] != f;
+        self.good[i] = g;
+        self.faulty[i] = f;
+        changed
+    }
+
+    /// The good and faulty value of `id`, read from its inputs' values in
+    /// `good` and `faulty`. Without a fault the faulty machine is the good
+    /// one.
+    fn gate_values(
+        &self,
+        id: GateId,
+        fault: Option<Fault>,
+        good: &[V3],
+        faulty: &[V3],
+    ) -> (V3, V3) {
+        let gate = self.netlist.gate(id);
+        let g = match gate.kind {
+            GateKind::Const0 => V3::Zero,
+            GateKind::Const1 => V3::One,
+            _ if gate.kind.is_source() => match self.access.rank_of(id) {
+                Some(rank) => self.pi_values[rank],
+                None => V3::X,
+            },
+            _ => eval_inputs(gate.kind, &gate.inputs, good, None),
+        };
+        let Some(fault) = fault else {
+            return (g, g);
+        };
+        // Faulty machine with injection.
+        let f = match fault.site {
+            FaultSite::Output(site) if site == id => V3::from_bool(fault.stuck.value()),
+            FaultSite::Input { gate: fg, pin } if fg == id && gate.kind.is_combinational() => {
+                let stuck = V3::from_bool(fault.stuck.value());
+                eval_inputs(gate.kind, &gate.inputs, faulty, Some((pin as usize, stuck)))
+            }
+            _ if gate.kind.is_source() || !gate.kind.is_combinational() => g,
+            _ => eval_inputs(gate.kind, &gate.inputs, faulty, None),
+        };
+        (g, f)
+    }
+
+    /// Test-only oracle: the event-driven values equal a fresh full pass.
+    #[cfg(test)]
+    fn assert_matches_full_pass(&self, fault: Option<Fault>) {
+        let mut good = vec![V3::X; self.netlist.len()];
+        let mut faulty = vec![V3::X; self.netlist.len()];
+        for &id in &self.order {
+            let (g, f) = self.gate_values(id, fault, &good, &faulty);
+            good[id.index()] = g;
+            faulty[id.index()] = f;
+        }
+        assert!(
+            good == self.good && faulty == self.faulty,
+            "event-driven implication diverged from a full pass (fault {fault:?})"
+        );
+    }
+
+    /// Collect `root`'s fanout cone into `in_cone`, and its combinational
+    /// gates into `cone`. The walk stops at sequential gates: they are
+    /// sources, whose faulty value is their good one.
+    fn collect_cone(&mut self, root: GateId) {
+        self.in_cone.reset();
+        self.in_cone.insert(root);
+        self.cone.clear();
+        self.stack.clear();
+        self.stack.push(root);
+        while let Some(id) = self.stack.pop() {
+            if self.netlist.gate(id).kind.is_combinational() {
+                self.cone.push(id);
+            }
+            for &fo in self.fanout.neighbors(id.index()) {
+                if self.in_cone.insert(GateId(fo)) {
+                    self.stack.push(GateId(fo));
+                }
+            }
+        }
     }
 
     /// `true` when some observed node shows a known miscompare.
@@ -326,7 +381,7 @@ impl<'a> Podem<'a> {
     }
 
     /// Choose the next (signal, value) objective.
-    fn objective(&self, fault: Fault) -> Option<(GateId, bool)> {
+    fn objective(&mut self, fault: Fault) -> Option<(GateId, bool)> {
         let driver = fault.site.driver(self.netlist);
         let need = fault.stuck.excitation();
         match self.good[driver.index()] {
@@ -337,11 +392,12 @@ impl<'a> Podem<'a> {
         // Excited: drive the D-frontier. Pick the frontier gate with the
         // cheapest observability whose X-path survives; the X-path DFS is
         // run lazily on the sorted candidates since it is the costly part.
-        let mut candidates: Vec<(u32, GateId)> = Vec::new();
-        for (id, gate) in self.netlist.iter() {
-            if !gate.kind.is_combinational() {
-                continue;
-            }
+        // Only the fault's cone can carry a D, and `(co, id)` is unique,
+        // so scanning the cone finds the same candidates in the same order
+        // as scanning the netlist.
+        let mut candidates = std::mem::take(&mut self.frontier);
+        candidates.clear();
+        for &id in &self.cone {
             let out_g = self.good[id.index()];
             let out_f = self.faulty[id.index()];
             if out_g.is_known() && out_f.is_known() {
@@ -352,15 +408,18 @@ impl<'a> Podem<'a> {
             }
         }
         candidates.sort_unstable();
-        for (_, frontier) in candidates {
+        let mut found = None;
+        for &(_, frontier) in &candidates {
             if !self.x_path_exists(frontier) {
                 continue;
             }
-            if let Some(obj) = self.frontier_objective(frontier, fault) {
-                return Some(obj);
+            found = self.frontier_objective(frontier, fault);
+            if found.is_some() {
+                break;
             }
         }
-        None
+        self.frontier = candidates;
+        found
     }
 
     /// Pick a justifiable (input, value) objective that sensitizes
@@ -421,7 +480,8 @@ impl<'a> Podem<'a> {
                 // only when every X input is statically frozen — then the
                 // mux output can never become known and cannot propagate.
                 let (a, b, s) = (gate.inputs[0], gate.inputs[1], gate.inputs[2]);
-                let mut candidates: Vec<(GateId, bool)> = Vec::new();
+                let mut candidates = [(s, false); 6];
+                let mut len = 0;
                 if self.good[s.index()] == V3::X {
                     // Prefer steering the select toward a D-carrying data
                     // pin.
@@ -432,8 +492,8 @@ impl<'a> Podem<'a> {
                     } else {
                         self.cc_for(s, true) < self.cc_for(s, false)
                     };
-                    candidates.push((s, want));
-                    candidates.push((s, !want));
+                    candidates[..2].copy_from_slice(&[(s, want), (s, !want)]);
+                    len = 2;
                 }
                 for (pin, data) in [(0usize, a), (1usize, b)] {
                     if self.good[data.index()] != V3::X || is_d_input(pin) {
@@ -444,11 +504,12 @@ impl<'a> Podem<'a> {
                         Some(v) => !v, // differ from the other data pin
                         None => self.cc_for(data, true) < self.cc_for(data, false),
                     };
-                    candidates.push((data, prefer));
-                    candidates.push((data, !prefer));
+                    candidates[len..len + 2].copy_from_slice(&[(data, prefer), (data, !prefer)]);
+                    len += 2;
                 }
-                candidates
-                    .into_iter()
+                candidates[..len]
+                    .iter()
+                    .copied()
                     .find(|&(line, v)| self.cc_for(line, v) < INF)
             }
             // Single-input kinds propagate unconditionally.
@@ -476,28 +537,30 @@ impl<'a> Podem<'a> {
 
     /// X-path check: a path of X-valued gates from `from` to an observed
     /// node.
-    fn x_path_exists(&self, from: GateId) -> bool {
-        let mut seen = vec![false; self.netlist.len()];
-        let mut stack = vec![from];
-        seen[from.index()] = true;
-        while let Some(id) = stack.pop() {
+    fn x_path_exists(&mut self, from: GateId) -> bool {
+        self.visited.reset();
+        self.visited.insert(from);
+        self.stack.clear();
+        self.stack.push(from);
+        while let Some(id) = self.stack.pop() {
             if self.access.is_observed(id) {
                 return true;
             }
-            for &fo in self.netlist.fanout(id) {
-                let kind = self.netlist.gate(fo).kind;
-                if kind.is_sequential() || matches!(kind, GateKind::Output | GateKind::TsvOut) {
-                    continue;
-                }
-                if seen[fo.index()] {
+            for &fo in self.fanout.neighbors(id.index()) {
+                let fo = GateId(fo);
+                if matches!(
+                    self.netlist.gate(fo).kind,
+                    GateKind::Output | GateKind::TsvOut
+                ) {
                     continue;
                 }
                 // Traversable if the gate's output could still change.
                 if self.good[fo.index()].is_known() && self.faulty[fo.index()].is_known() {
                     continue;
                 }
-                seen[fo.index()] = true;
-                stack.push(fo);
+                if self.visited.insert(fo) {
+                    self.stack.push(fo);
+                }
             }
         }
         false
@@ -539,41 +602,43 @@ impl<'a> Podem<'a> {
                     } else {
                         !controlling
                     };
-                    let xs: Vec<GateId> = gate
-                        .inputs
-                        .iter()
-                        .copied()
-                        .filter(|&i| self.good[i.index()] == V3::X)
-                        .collect();
                     // Setting the controlling value: the cheapest *finitely
-                    // justifiable* X input wins. Setting the non-controlling
-                    // value: all inputs must be justified eventually; start
-                    // with the hardest finite one (classic hardest-first).
-                    let finite: Vec<GateId> = xs
-                        .iter()
-                        .copied()
-                        .filter(|&i| self.cc_for(i, needed_in) < INF)
-                        .collect();
+                    // justifiable* X input wins (the first on ties).
+                    // Setting the non-controlling value: all inputs must be
+                    // justified eventually; start with the hardest finite
+                    // one (classic hardest-first, the last on ties).
+                    let mut any_x = false;
+                    let mut all_finite = true;
+                    let mut easiest: Option<(u32, GateId)> = None;
+                    let mut hardest: Option<(u32, GateId)> = None;
+                    for &i in &gate.inputs {
+                        if self.good[i.index()] != V3::X {
+                            continue;
+                        }
+                        any_x = true;
+                        let cost = self.cc_for(i, needed_in);
+                        if cost >= INF {
+                            all_finite = false;
+                            continue;
+                        }
+                        if easiest.is_none_or(|(c, _)| cost < c) {
+                            easiest = Some((cost, i));
+                        }
+                        if hardest.is_none_or(|(c, _)| cost >= c) {
+                            hardest = Some((cost, i));
+                        }
+                    }
                     if needed_pre == controlling {
-                        let pick = finite
-                            .iter()
-                            .copied()
-                            .min_by_key(|&i| self.cc_for(i, needed_in))?;
-                        target = pick;
+                        target = easiest?.1;
                     } else {
                         // All X inputs must be justifiable; INF on any means
                         // the output can never be non-controlling… but only
                         // if that input can't be avoided — for AND-family it
                         // can't (every input matters), so this is a proof.
-                        if finite.len() != xs.len() || xs.is_empty() {
+                        if !all_finite || !any_x {
                             return None;
                         }
-                        let pick = finite
-                            .iter()
-                            .copied()
-                            .max_by_key(|&i| self.cc_for(i, needed_in))
-                            .expect("nonempty");
-                        target = pick;
+                        target = hardest.expect("nonempty").1;
                     }
                     value = needed_in;
                 }
@@ -651,6 +716,106 @@ impl<'a> Podem<'a> {
             self.scoap.cc0[id.index()]
         }
     }
+}
+
+/// Gates awaiting re-evaluation, bucketed by logic level. A gate's inputs
+/// all sit at lower levels, so draining the buckets in ascending order
+/// evaluates every gate after all of its changed inputs, which is what a
+/// topological pass does.
+#[derive(Debug)]
+struct Events {
+    level: Vec<u32>,
+    buckets: Vec<Vec<u32>>,
+    queued: Vec<bool>,
+    pending: usize,
+}
+
+impl Events {
+    fn new(level: Vec<u32>) -> Self {
+        let depth = level.iter().max().map_or(0, |&l| l as usize + 1);
+        Events {
+            queued: vec![false; level.len()],
+            buckets: vec![Vec::new(); depth],
+            level,
+            pending: 0,
+        }
+    }
+
+    /// Queue gate `id` unless it is already queued.
+    fn push(&mut self, id: u32) {
+        let i = id as usize;
+        if !self.queued[i] {
+            self.queued[i] = true;
+            self.buckets[self.level[i] as usize].push(id);
+            self.pending += 1;
+        }
+    }
+
+    /// Drop every queued gate.
+    fn clear(&mut self) {
+        for bucket in &mut self.buckets {
+            for &i in bucket.iter() {
+                self.queued[i as usize] = false;
+            }
+            bucket.clear();
+        }
+        self.pending = 0;
+    }
+}
+
+/// A set of gates, emptied in O(1) by moving to a new generation stamp.
+#[derive(Debug)]
+struct Marks {
+    mark: Vec<u32>,
+    stamp: u32,
+}
+
+impl Marks {
+    fn new(len: usize) -> Self {
+        Marks {
+            mark: vec![0; len],
+            stamp: 1,
+        }
+    }
+
+    fn reset(&mut self) {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.mark.fill(0);
+            self.stamp = 1;
+        }
+    }
+
+    /// Add `id`; `false` when it was already present.
+    fn insert(&mut self, id: GateId) -> bool {
+        let m = &mut self.mark[id.index()];
+        let fresh = *m != self.stamp;
+        *m = self.stamp;
+        fresh
+    }
+
+    fn contains(&self, id: GateId) -> bool {
+        self.mark[id.index()] == self.stamp
+    }
+}
+
+/// `eval_v3` over the values in `values` of `inputs`, with `forced`'s pin
+/// overridden, evaluated from a stack buffer (the widest gate, `Mux2`, has
+/// three inputs).
+fn eval_inputs(
+    kind: GateKind,
+    inputs: &[GateId],
+    values: &[V3],
+    forced: Option<(usize, V3)>,
+) -> V3 {
+    let mut buf = [V3::X; 3];
+    for (slot, &x) in buf.iter_mut().zip(inputs) {
+        *slot = values[x.index()];
+    }
+    if let Some((pin, v)) = forced {
+        buf[pin] = v;
+    }
+    eval_v3(kind, &buf[..inputs.len()])
 }
 
 #[cfg(test)]
@@ -737,6 +902,58 @@ mod tests {
         assert_eq!(
             podem.generate(Fault::output(g, StuckAt::Zero)),
             PodemOutcome::Untestable
+        );
+    }
+
+    /// Drives every collapsed fault and every justification target of a
+    /// b11 die through the search; `imply`'s test-only oracle checks each
+    /// event-driven step against a fresh full pass.
+    #[test]
+    fn event_driven_implication_matches_a_full_pass_at_every_step() {
+        use crate::fault::FaultList;
+        use prebond3d_netlist::itc99;
+
+        let spec = itc99::circuit("b11").expect("known benchmark");
+        let die = itc99::generate_die(&spec.dies[0]);
+        let kinds: Vec<GateKind> = die.iter().map(|(_, g)| g.kind).collect();
+        for kind in [GateKind::Mux2, GateKind::Xor, GateKind::TsvIn] {
+            assert!(kinds.contains(&kind), "die must contain {kind:?}");
+        }
+        let mut acc = TestAccess::full_scan(&die);
+        let pin = die.of_kind(GateKind::Input)[0];
+        acc.pin(pin, true);
+        let scoap = Scores::compute(&die, &acc.view());
+        let config = PodemConfig {
+            backtrack_limit: 64,
+            ..PodemConfig::default()
+        };
+        let mut podem = Podem::new(&die, &acc, &scoap, config);
+        let list = FaultList::collapsed(&die);
+        assert!(list
+            .faults
+            .iter()
+            .any(|f| matches!(f.site, FaultSite::Input { .. })));
+
+        let ((), snap) = obs::capture_recorded(|| {
+            for fault in &list.faults {
+                podem.generate(*fault);
+            }
+            for (id, gate) in die.iter() {
+                if gate.kind.is_combinational() {
+                    podem.justify(id, false);
+                    podem.justify(id, true);
+                }
+            }
+        });
+        let calls = snap.counter("podem.generate_calls") + snap.counter("podem.justify_calls");
+        let steps = snap.counter("podem.implications");
+        assert!(
+            steps > calls,
+            "searches must take event-driven steps: {steps} steps in {calls} calls"
+        );
+        assert!(
+            snap.counter("podem.implication_evals") < steps * die.len() as u64,
+            "event-driven steps must evaluate less than a full pass each"
         );
     }
 

@@ -33,9 +33,10 @@ use prebond3d_obs::json::Value;
 /// serving loadgen's miss counter (`BENCH_serve.json`): a cold rebuild
 /// that should have been a warm hit is a regression, while hit/eviction
 /// rows stay informational (more hits is *better*).
-pub const GATED_COUNTERS: [&str; 5] = [
+pub const GATED_COUNTERS: [&str; 6] = [
     "atpg.gate_evals",
     "atpg.pattern_batches",
+    "podem.implication_evals",
     "graph.cone_word_ops",
     "clique.candidate_rescores",
     "serve.cache_misses",

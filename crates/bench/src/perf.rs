@@ -136,6 +136,9 @@ struct WorkSample {
     cache_hits: u64,
     cache_misses: u64,
     faults_pruned: u64,
+    /// Gates PODEM implication would evaluate at one full pass per step.
+    full_pass_evals: u64,
+    implication_evals: u64,
 }
 
 /// Optimized-mode counters of the wide-lane fault-sim probe, re-emitted
@@ -287,6 +290,8 @@ fn work_probe(circuits: &[&str]) {
                 cache_hits: snap.counter("probe.cache_hits"),
                 cache_misses: snap.counter("probe.cache_misses"),
                 faults_pruned: snap.counter("atpg.faults_pruned"),
+                full_pass_evals: snap.counter("podem.implications") * atpg_netlist.len() as u64,
+                implication_evals: snap.counter("podem.implication_evals"),
             };
             (sample, result)
         };
@@ -389,6 +394,14 @@ fn work_probe(circuits: &[&str]) {
             reference.cache_misses,
             optimized.cache_misses,
         );
+        // Event-driven PODEM (DESIGN.md §17): the reference is one full
+        // pass per implication step, priced at the bare die's gate count.
+        report::record_work(
+            "podem.implication_evals",
+            atpg_substrate,
+            optimized.full_pass_evals,
+            optimized.implication_evals,
+        );
         // Reference mode never prunes, so the row reads 0 → N: obs-diff
         // floor-gates the optimized count (a shrink means the static
         // analysis stopped seeing the X cones).
@@ -424,6 +437,7 @@ fn work_probe(circuits: &[&str]) {
             obs::count("probe.cache_hits", optimized.cache_hits);
             obs::count("probe.cache_misses", optimized.cache_misses);
             obs::count("atpg.faults_pruned", optimized.faults_pruned);
+            obs::count("podem.implication_evals", optimized.implication_evals);
         }
     });
 }
