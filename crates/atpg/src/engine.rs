@@ -3,8 +3,8 @@
 //! Mirrors the classical commercial flow:
 //!
 //! 1. **Random phase** — 64-pattern blocks of seeded random patterns are
-//!    fault-simulated with fault dropping (up to `tuning::lanes()` blocks
-//!    packed to a physical batch, credited block-by-block so results are
+//!    fault-simulated with fault dropping (up to `LANES` blocks packed
+//!    to a physical batch, credited block-by-block so results are
 //!    lane-width invariant); only patterns that detect a new fault are
 //!    kept. The phase ends when a block's yield drops below a threshold.
 //! 2. **Deterministic phase** — PODEM targets every remaining fault;
@@ -214,6 +214,32 @@ fn credit_block(
     (kept, newly)
 }
 
+/// Most 64-pattern lanes one physical fault-simulation batch carries:
+/// 8 (512 patterns). `FaultSimulator` narrows each batch to the width its
+/// block count needs.
+const LANES: usize = 8;
+
+/// How a stuck-at run executes. Production always runs `DEFAULT`;
+/// `REFERENCE` is the pre-optimization algorithm (no static pruning, one
+/// lane per batch) that the unit tests compare against.
+#[derive(Debug, Clone, Copy)]
+struct Mode {
+    prune: bool,
+    lanes: usize,
+}
+
+impl Mode {
+    const DEFAULT: Mode = Mode {
+        prune: true,
+        lanes: LANES,
+    };
+    #[cfg(test)]
+    const REFERENCE: Mode = Mode {
+        prune: false,
+        lanes: 1,
+    };
+}
+
 /// Run stuck-at ATPG over the full collapsed fault universe.
 pub fn run_stuck_at(netlist: &Netlist, access: &TestAccess, config: &AtpgConfig) -> AtpgResult {
     let list = FaultList::collapsed(netlist);
@@ -228,6 +254,16 @@ pub fn run_stuck_at_on(
     access: &TestAccess,
     config: &AtpgConfig,
     list: &FaultList,
+) -> AtpgResult {
+    run_stuck_at_in(netlist, access, config, list, Mode::DEFAULT)
+}
+
+fn run_stuck_at_in(
+    netlist: &Netlist,
+    access: &TestAccess,
+    config: &AtpgConfig,
+    list: &FaultList,
+    mode: Mode,
 ) -> AtpgResult {
     let _span = obs::span("atpg_stuck_at");
     // Phase budget: one deadline covers the whole ATPG run (random phase,
@@ -246,8 +282,7 @@ pub fn run_stuck_at_on(
     // of them untestable via the SCOAP pre-screen below without consuming
     // RNG or emitting patterns, so every downstream artifact stays
     // byte-identical while the per-fault cone resimulations disappear.
-    // `PREBOND3D_NO_CACHE=1` disables pruning and is the reference oracle.
-    if prebond3d_netlist::tuning::cache_enabled() {
+    if mode.prune {
         let analysis = crate::prune::PruneAnalysis::new(netlist, access);
         let mask = crate::prune::prune_mask(&analysis, &scoap, netlist, access, &list.faults);
         let mut pruned = 0u64;
@@ -275,7 +310,7 @@ pub fn run_stuck_at_on(
     // (The phase-budget deadline is polled per physical batch rather than
     // per block; it is wall-clock and thus outside the determinism
     // contract.)
-    let lanes = prebond3d_netlist::tuning::lanes();
+    let lanes = mode.lanes;
     let mut blocks_done = 0usize;
     'random: while blocks_done < config.max_random_batches {
         if !alive.iter().any(|&a| a) {
@@ -412,12 +447,12 @@ pub fn run_stuck_at_on(
                 ),
             );
         } else {
-            patterns = reverse_order_compact(netlist, access, list, &mut fs, patterns);
+            patterns = reverse_order_compact(netlist, access, list, &mut fs, patterns, lanes);
         }
     }
 
     // Final accounting: simulate the final set against the full universe.
-    let detected = count_detected(netlist, access, list, &mut fs, &patterns);
+    let detected = count_detected(netlist, access, list, &mut fs, &patterns, lanes);
     AtpgResult {
         patterns,
         total_faults: list.len(),
@@ -435,10 +470,10 @@ fn reverse_order_compact(
     list: &FaultList,
     fs: &mut FaultSimulator,
     patterns: Vec<Pattern>,
+    lanes: usize,
 ) -> Vec<Pattern> {
     let _span = obs::span("atpg_compact");
     let before = patterns.len();
-    let lanes = prebond3d_netlist::tuning::lanes();
     let mut alive = vec![true; list.len()];
     let mut keep: Vec<Pattern> = Vec::new();
     let reversed: Vec<Pattern> = patterns.into_iter().rev().collect();
@@ -478,8 +513,8 @@ fn count_detected(
     list: &FaultList,
     fs: &mut FaultSimulator,
     patterns: &[Pattern],
+    lanes: usize,
 ) -> usize {
-    let lanes = prebond3d_netlist::tuning::lanes();
     let mut alive = vec![true; list.len()];
     for window in patterns.chunks(lanes * 64) {
         let (w, masks) = fs
@@ -653,10 +688,9 @@ pub fn detected_by(
     faults: &[crate::fault::Fault],
     patterns: &[Pattern],
 ) -> Vec<bool> {
-    let lanes = prebond3d_netlist::tuning::lanes();
     let mut fs = FaultSimulator::new(netlist);
     let mut alive = vec![true; faults.len()];
-    for window in patterns.chunks(lanes * 64) {
+    for window in patterns.chunks(LANES * 64) {
         let (w, masks) = fs
             .simulate_batch_any_wide(netlist, access, window, faults, &alive)
             .expect("probe window sized to lane capacity");
@@ -754,35 +788,48 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The pruning byte-identity contract: a die riddled with floating
-    /// TSVs (many statically-untestable faults) must produce the exact
-    /// same `AtpgResult` with pruning on and off — same patterns, same
-    /// coverage, same untestable split.
+    /// The byte-identity contract of the two stuck-at speedups: static
+    /// pruning and wide fault-simulation lanes. On seeded dies with
+    /// floating TSVs (many statically untestable faults), the default run
+    /// must produce exactly the `AtpgResult` of the never-pruning,
+    /// single-lane reference — same patterns, coverage and untestable
+    /// split — at every thread count.
     #[test]
-    fn pruned_run_is_byte_identical_to_reference() {
-        use prebond3d_netlist::tuning;
-        let spec = itc99::DieSpec {
-            name: "prune_die".into(),
-            scan_flip_flops: 12,
-            gates: 180,
-            inbound_tsvs: 10,
-            outbound_tsvs: 10,
-            primary_inputs: 4,
-            primary_outputs: 4,
-            seed: 17,
-        };
-        let die = itc99::generate_die(&spec);
-        let access = TestAccess::full_scan(&die);
-        tuning::force_no_cache(Some(true));
-        let reference = run_stuck_at(&die, &access, &AtpgConfig::fast());
-        tuning::force_no_cache(Some(false));
-        let pruned = run_stuck_at(&die, &access, &AtpgConfig::fast());
-        tuning::force_no_cache(None);
-        assert_eq!(reference, pruned);
-        assert!(
-            pruned.untestable > 0,
-            "the floating-TSV die must have untestable faults"
-        );
+    fn default_run_is_byte_identical_to_the_unpruned_single_lane_reference() {
+        let mut rng = StdRng::seed_from_u64(0xDA7A_F10D);
+        let mut pruned_somewhere = false;
+        for case in 0..4u64 {
+            let spec = itc99::DieSpec {
+                name: format!("dataflow_eq_die{case}"),
+                scan_flip_flops: rng.gen_range(6usize..24),
+                gates: rng.gen_range(80usize..280),
+                inbound_tsvs: rng.gen_range(2usize..14),
+                outbound_tsvs: rng.gen_range(2usize..14),
+                primary_inputs: 4,
+                primary_outputs: 4,
+                seed: rng.gen_range(0u64..10_000),
+            };
+            let die = itc99::generate_die(&spec);
+            let access = TestAccess::full_scan(&die);
+            let list = FaultList::collapsed(&die);
+            let config = AtpgConfig::fast();
+            let scoap = Scores::compute(&die, &access.view());
+            let analysis = crate::prune::PruneAnalysis::new(&die, &access);
+            pruned_somewhere |=
+                crate::prune::prune_mask(&analysis, &scoap, &die, &access, &list.faults)
+                    .contains(&true);
+            let reference = run_stuck_at_in(&die, &access, &config, &list, Mode::REFERENCE);
+            for threads in [1usize, 4, 8] {
+                let default = prebond3d_pool::with_threads(threads, || {
+                    run_stuck_at_in(&die, &access, &config, &list, Mode::DEFAULT)
+                });
+                assert_eq!(
+                    reference, default,
+                    "case {case}: default ATPG diverged from the reference at {threads} threads"
+                );
+            }
+        }
+        assert!(pruned_somewhere, "the sweep must exercise static pruning");
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //! batch carries up to `W * 64` patterns split into `W` logical 64-pattern
 //! *blocks* (lane `l` = block `l`). The walk is a single generic
 //! implementation monomorphized per width; `W=1` is bit-for-bit the
-//! pre-existing narrow walk (`PREBOND3D_NO_CACHE=1` pins it as the
-//! oracle). Two invariants make the wide masks **byte-identical** to
-//! running the blocks narrowly, which the engine's credit replay relies
-//! on:
+//! pre-existing narrow walk (the engine's single-lane reference run pins
+//! it as the oracle). Two invariants make the wide masks
+//! **byte-identical** to running the blocks narrowly, which the engine's
+//! credit replay relies on:
 //!
 //! * **Per-lane freeze** — in early-exit (`Any`/`PerFault`) modes the
 //!   narrow walk returns at the first checkpoint where `detect & need != 0`,

@@ -21,7 +21,7 @@
 //! dataflow-undetectable **and** SCOAP-saturated. The result: the pruned
 //! run skips the per-fault cone resimulations (`atpg.gate_evals` drops)
 //! while every pattern, coverage number and untestable count stays
-//! byte-identical to the `PREBOND3D_NO_CACHE=1` reference.
+//! byte-identical to the engine's never-pruning reference run.
 
 use prebond3d_dataflow::{reach, Constants, Scores, SourceModel, ValueSet};
 use prebond3d_netlist::{GateKind, Netlist};

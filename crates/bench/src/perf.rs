@@ -9,15 +9,15 @@
 //! "parallel" run is oversubscribed and the speedup hovers around 1x;
 //! the ≥1.5x target is only observable on multi-core hardware.
 //!
-//! [`record_work_reductions`] measures the hot-path caches (DESIGN.md
-//! §11) in machine-independent units: it runs the probe/cone workload of
-//! the largest selected substrate once with `PREBOND3D_NO_CACHE`
-//! semantics forced on (the pre-optimization algorithm) and once with
-//! the caches enabled, and records the deterministic work counters
-//! (`atpg.gate_evals`, `atpg.faults_pruned`, cone word-ops,
-//! `probe.cache_*`) via
-//! [`crate::report::record_work`]. Unlike the wall-clock speedups these
-//! survive `PREBOND3D_STABLE_MS`, so CI regression-gates them.
+//! [`record_work_reductions`] measures the hot paths (DESIGN.md §11) in
+//! machine-independent units: it runs the cone/clique and ATPG-probe
+//! workloads of the largest selected substrate once and records the
+//! deterministic work counters (`atpg.gate_evals`, `atpg.faults_pruned`,
+//! cone word-ops, `probe.cache_*`, …) via [`crate::report::record_work`].
+//! Two rows also carry a direct reference implementation's count: the
+//! single-lane fault simulator and the one-full-pass-per-step PODEM
+//! implication. Unlike the wall-clock speedups these survive
+//! `PREBOND3D_STABLE_MS`, so CI regression-gates them.
 
 use std::time::Instant;
 
@@ -28,7 +28,7 @@ use prebond3d_atpg::sim::Pattern;
 use prebond3d_atpg::{AtpgConfig, TestAccess};
 use prebond3d_celllib::Library;
 use prebond3d_netlist::cone::ConeSet;
-use prebond3d_netlist::{itc99, tuning, GateId};
+use prebond3d_netlist::{itc99, GateId};
 use prebond3d_obs as obs;
 use prebond3d_place::{place, PlaceConfig};
 use prebond3d_pool as pool;
@@ -129,37 +129,26 @@ fn probe(circuits: &[&str]) {
     );
 }
 
-/// One reference-vs-optimized run of the ATPG probe workload, in
-/// deterministic work units (no clocks involved).
-struct WorkSample {
+/// Work counters of the ATPG probe workload and the wide-lane fault-sim
+/// probe, re-emitted into the run report's work-probe section.
+struct AtpgSample {
     gate_evals: u64,
     cache_hits: u64,
     cache_misses: u64,
     faults_pruned: u64,
-    /// Gates PODEM implication would evaluate at one full pass per step.
-    full_pass_evals: u64,
     implication_evals: u64,
-}
-
-/// Optimized-mode counters of the wide-lane fault-sim probe, re-emitted
-/// into the run report's work-probe section.
-struct LanesSample {
-    gate_evals: u64,
-    pattern_batches: u64,
+    lanes_gate_evals: u64,
+    lanes_pattern_batches: u64,
 }
 
 /// Measure the deterministic work counters of the hot paths (DESIGN.md
-/// §11) on the largest selected substrate, once with the caches forced
-/// off (the pre-optimization reference algorithm) and once with them on,
-/// and record each counter via [`report::record_work`]. Like the
-/// wall-clock probe this is optional measurement: a panic records a
-/// degradation instead of failing the experiment, and the no-cache
-/// override is always restored.
+/// §11) on the largest selected substrate and record each counter via
+/// [`report::record_work`]. Like the wall-clock probe this is optional
+/// measurement: a panic records a degradation instead of failing the
+/// experiment.
 pub fn record_work_reductions(circuits: &[&str]) {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    let result = catch_unwind(AssertUnwindSafe(|| work_probe(circuits)));
-    tuning::force_no_cache(None);
-    if let Err(p) = result {
+    if let Err(p) = catch_unwind(AssertUnwindSafe(|| work_probe(circuits))) {
         prebond3d_resilience::degrade::record(
             "perf",
             "skip_work_probe",
@@ -171,15 +160,14 @@ pub fn record_work_reductions(circuits: &[&str]) {
     }
 }
 
-/// Reference-mode ATPG probing runs full-universe ATPG four times per
-/// pair — the pre-optimization cost this probe exists to expose. That is
-/// minutes-to-hours on the b18/b22 dies, so the ATPG portion measures the
-/// largest substrate at or below this node count (the cone/clique portion
-/// still runs on the overall largest).
+/// The ATPG portion runs full-universe stuck-at ATPG and the single-lane
+/// fault-simulation reference, so it measures the largest substrate at or
+/// below this node count (the cone/clique portion still runs on the
+/// overall largest).
 const ATPG_PROBE_MAX_NODES: usize = 2_000;
 
-/// The largest selected substrate whose die is small enough for the
-/// reference-mode (uncached, full-universe) ATPG probe.
+/// The largest selected substrate whose die is small enough for the ATPG
+/// probe.
 fn atpg_probe_substrate(circuits: &[&str]) -> Option<(String, itc99::DieSpec)> {
     circuits
         .iter()
@@ -201,7 +189,7 @@ fn work_probe(circuits: &[&str]) {
     };
 
     // --- Cone/clique workload on the largest substrate -------------------
-    // One sharing-graph build + clique partition per mode: the build's
+    // One sharing-graph build + clique partition: the build's
     // all-pairs cone scan tallies `graph.cone_word_ops`, the partition's
     // merge loop `clique.candidate_rescores`. `obs::capture` gives an
     // isolated registry, so the counters read are exactly this workload's.
@@ -214,29 +202,21 @@ fn work_probe(circuits: &[&str]) {
     let ffs = netlist.flip_flops();
     let tsvs = netlist.inbound_tsvs();
 
-    let cone_clique_mode = |no_cache: bool| -> (u64, u64) {
-        tuning::force_no_cache(Some(no_cache));
-        let (_, snap) = obs::capture(|| {
-            let g = graph::build(
-                &model,
-                &thresholds,
-                &StructuralProbe::default(),
-                &ffs,
-                &tsvs,
-                ReuseKind::Inbound,
-            );
-            let _partition = clique::partition(&g, &model, &thresholds, MergePolicy::Accurate);
-        });
-        tuning::force_no_cache(None);
-        (
-            snap.counter("graph.cone_word_ops"),
-            snap.counter("clique.candidate_rescores"),
-        )
-    };
-    let (ref_word_ops, ref_rescores) = cone_clique_mode(true);
-    let (opt_word_ops, opt_rescores) = cone_clique_mode(false);
+    let (_, snap) = obs::capture(|| {
+        let g = graph::build(
+            &model,
+            &thresholds,
+            &StructuralProbe::default(),
+            &ffs,
+            &tsvs,
+            ReuseKind::Inbound,
+        );
+        let _partition = clique::partition(&g, &model, &thresholds, MergePolicy::Accurate);
+    });
+    let word_ops = snap.counter("graph.cone_word_ops");
+    let rescores = snap.counter("clique.candidate_rescores");
 
-    // --- ATPG probe workload on a reference-tractable substrate ----------
+    // --- ATPG probe workload on a small-enough substrate -----------------
     let atpg = atpg_probe_substrate(circuits).map(|(atpg_substrate, atpg_spec)| {
         // Reuse the already-generated die when the caps coincide.
         let atpg_netlist = if atpg_substrate == substrate {
@@ -250,13 +230,13 @@ fn work_probe(circuits: &[&str]) {
         let mut roots: Vec<GateId> = ffs.clone();
         roots.extend(tsvs.iter().copied());
 
-        // Up to three overlapping (flip-flop, TSV) pairs, selected once
-        // outside the measured runs so both modes price the same pairs.
-        let selection = ConeSet::compute(atpg_netlist, &roots);
+        // Up to three overlapping (flip-flop, TSV) pairs, selected outside
+        // the measured run.
+        let cones = ConeSet::compute(atpg_netlist, &roots);
         let mut pairs: Vec<(GateId, GateId)> = Vec::new();
         'outer: for &t in &tsvs {
             for &f in &ffs {
-                if selection.cones_overlap(f, t) {
+                if cones.cones_overlap(f, t) {
                     pairs.push((f, t));
                     if pairs.len() == 3 {
                         break 'outer;
@@ -268,46 +248,25 @@ fn work_probe(circuits: &[&str]) {
         // Two passes over the pairs (the second is where memoization
         // pays), then one full-universe ATPG run on the bare die: the
         // floating TSVs leave X cones whose faults the dataflow pruning
-        // (DESIGN.md §14) retires before any simulation. Reference mode
-        // (`no_cache`) disables pruning, so the `atpg.gate_evals` delta
-        // includes the retired faults' cone resimulations.
-        let atpg_mode = |no_cache: bool| -> (WorkSample, prebond3d_atpg::AtpgResult) {
-            tuning::force_no_cache(Some(no_cache));
-            let (result, snap) = obs::capture(|| {
-                let cones = ConeSet::compute(atpg_netlist, &roots);
-                let probe = AtpgProbe::default();
-                for _pass in 0..2 {
-                    for &(a, b) in &pairs {
-                        let _ = probe.sharing_cost(atpg_netlist, &cones, a, b);
-                    }
+        // (DESIGN.md §14) retires before any simulation.
+        let access = TestAccess::full_scan(atpg_netlist);
+        let (_, snap) = obs::capture(|| {
+            let probe = AtpgProbe::default();
+            for _pass in 0..2 {
+                for &(a, b) in &pairs {
+                    let _ = probe.sharing_cost(atpg_netlist, &cones, a, b);
                 }
-                let access = TestAccess::full_scan(atpg_netlist);
-                run_stuck_at(atpg_netlist, &access, &AtpgConfig::fast())
-            });
-            tuning::force_no_cache(None);
-            let sample = WorkSample {
-                gate_evals: snap.counter("atpg.gate_evals"),
-                cache_hits: snap.counter("probe.cache_hits"),
-                cache_misses: snap.counter("probe.cache_misses"),
-                faults_pruned: snap.counter("atpg.faults_pruned"),
-                full_pass_evals: snap.counter("podem.implications") * atpg_netlist.len() as u64,
-                implication_evals: snap.counter("podem.implication_evals"),
-            };
-            (sample, result)
-        };
-        let (reference, ref_result) = atpg_mode(true);
-        let (optimized, opt_result) = atpg_mode(false);
-        assert_eq!(
-            ref_result, opt_result,
-            "pruned ATPG must be byte-identical to the unpruned reference"
-        );
+            }
+            run_stuck_at(atpg_netlist, &access, &AtpgConfig::fast())
+        });
+        // Gates PODEM implication would evaluate at one full pass per step.
+        let full_pass_evals = snap.counter("podem.implications") * atpg_netlist.len() as u64;
 
         // --- Wide-lane fault-sim probe -------------------------------
         // The same 512-pattern full-universe workload at lane width 1
         // (the straight-line oracle) and 8: per-64-block detection masks
         // must agree bit-for-bit, while the wide run amortizes each cone
         // walk over 8x the patterns.
-        let access = TestAccess::full_scan(atpg_netlist);
         let faults = FaultList::collapsed(atpg_netlist);
         let alive = vec![true; faults.len()];
         let mut rng = StdRng::seed_from_u64(0x1A5E_BA5E);
@@ -359,14 +318,53 @@ fn work_probe(circuits: &[&str]) {
             "wide lanes must amortize >= 3x: {w1_evals} evals at W=1 vs {w8_evals} at W=8"
         );
         let lanes_substrate = format!("{atpg_substrate} wide lanes");
-        report::record_work("atpg.gate_evals", &lanes_substrate, w1_evals, w8_evals);
-        report::record_work("atpg.pattern_batches", &lanes_substrate, w1_batches, w8_batches);
-        let lanes = LanesSample {
-            gate_evals: w8_evals,
-            pattern_batches: w8_batches,
-        };
+        report::record_work(
+            "atpg.gate_evals",
+            &lanes_substrate,
+            Some(w1_evals),
+            w8_evals,
+        );
+        report::record_work(
+            "atpg.pattern_batches",
+            &lanes_substrate,
+            Some(w1_batches),
+            w8_batches,
+        );
 
-        (atpg_substrate, reference, optimized, lanes)
+        let sample = AtpgSample {
+            gate_evals: snap.counter("atpg.gate_evals"),
+            cache_hits: snap.counter("probe.cache_hits"),
+            cache_misses: snap.counter("probe.cache_misses"),
+            faults_pruned: snap.counter("atpg.faults_pruned"),
+            implication_evals: snap.counter("podem.implication_evals"),
+            lanes_gate_evals: w8_evals,
+            lanes_pattern_batches: w8_batches,
+        };
+        report::record_work("atpg.gate_evals", &atpg_substrate, None, sample.gate_evals);
+        report::record_work("probe.cache_hits", &atpg_substrate, None, sample.cache_hits);
+        report::record_work(
+            "probe.cache_misses",
+            &atpg_substrate,
+            None,
+            sample.cache_misses,
+        );
+        // Event-driven PODEM (DESIGN.md §17): the reference is one full
+        // pass per implication step, priced at the bare die's gate count.
+        report::record_work(
+            "podem.implication_evals",
+            &atpg_substrate,
+            Some(full_pass_evals),
+            sample.implication_evals,
+        );
+        // obs-diff floor-gates the pruned count: a shrink means the static
+        // analysis stopped seeing the X cones.
+        report::record_work(
+            "atpg.faults_pruned",
+            &atpg_substrate,
+            None,
+            sample.faults_pruned,
+        );
+        sample
     });
     if atpg.is_none() {
         eprintln!(
@@ -375,69 +373,22 @@ fn work_probe(circuits: &[&str]) {
         );
     }
 
-    if let Some((atpg_substrate, reference, optimized, _)) = &atpg {
-        report::record_work(
-            "atpg.gate_evals",
-            atpg_substrate,
-            reference.gate_evals,
-            optimized.gate_evals,
-        );
-        report::record_work(
-            "probe.cache_hits",
-            atpg_substrate,
-            reference.cache_hits,
-            optimized.cache_hits,
-        );
-        report::record_work(
-            "probe.cache_misses",
-            atpg_substrate,
-            reference.cache_misses,
-            optimized.cache_misses,
-        );
-        // Event-driven PODEM (DESIGN.md §17): the reference is one full
-        // pass per implication step, priced at the bare die's gate count.
-        report::record_work(
-            "podem.implication_evals",
-            atpg_substrate,
-            optimized.full_pass_evals,
-            optimized.implication_evals,
-        );
-        // Reference mode never prunes, so the row reads 0 → N: obs-diff
-        // floor-gates the optimized count (a shrink means the static
-        // analysis stopped seeing the X cones).
-        report::record_work(
-            "atpg.faults_pruned",
-            atpg_substrate,
-            reference.faults_pruned,
-            optimized.faults_pruned,
-        );
-    }
-    report::record_work(
-        "graph.cone_word_ops",
-        &substrate,
-        ref_word_ops,
-        opt_word_ops,
-    );
-    report::record_work(
-        "clique.candidate_rescores",
-        &substrate,
-        ref_rescores,
-        opt_rescores,
-    );
+    report::record_work("graph.cone_word_ops", &substrate, None, word_ops);
+    report::record_work("clique.candidate_rescores", &substrate, None, rescores);
 
-    // Re-emit the optimized-mode counters into the run report (the
-    // captures above kept them out of the experiment's collector), so
-    // `run_perf.json` carries the cache hit/miss counters in a section.
+    // Re-emit the counters into the run report (the captures above kept
+    // them out of the experiment's collector), so `run_perf.json` carries
+    // the cache hit/miss counters in a section.
     report::die_scope(&format!("{substrate} work probe"), || {
-        obs::count("graph.cone_word_ops", opt_word_ops);
-        obs::count("clique.candidate_rescores", opt_rescores);
-        if let Some((_, _, optimized, lanes)) = &atpg {
-            obs::count("atpg.gate_evals", optimized.gate_evals + lanes.gate_evals);
-            obs::count("atpg.pattern_batches", lanes.pattern_batches);
-            obs::count("probe.cache_hits", optimized.cache_hits);
-            obs::count("probe.cache_misses", optimized.cache_misses);
-            obs::count("atpg.faults_pruned", optimized.faults_pruned);
-            obs::count("podem.implication_evals", optimized.implication_evals);
+        obs::count("graph.cone_word_ops", word_ops);
+        obs::count("clique.candidate_rescores", rescores);
+        if let Some(a) = &atpg {
+            obs::count("atpg.gate_evals", a.gate_evals + a.lanes_gate_evals);
+            obs::count("atpg.pattern_batches", a.lanes_pattern_batches);
+            obs::count("probe.cache_hits", a.cache_hits);
+            obs::count("probe.cache_misses", a.cache_misses);
+            obs::count("atpg.faults_pruned", a.faults_pruned);
+            obs::count("podem.implication_evals", a.implication_evals);
         }
     });
 }

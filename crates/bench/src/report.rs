@@ -475,31 +475,39 @@ pub fn record_speedup(
 }
 
 /// Record one deterministic work-counter measurement (written to the
-/// `work` array of `BENCH_<experiment>.json`). `reference` is the count
-/// with the hot-path caches disabled (`PREBOND3D_NO_CACHE=1` semantics,
-/// i.e. the pre-optimization algorithm), `optimized` the count with them
-/// on. Work counters are machine-independent, so — unlike the wall-clock
-/// speedups — they are **not** zeroed under `PREBOND3D_STABLE_MS` and can
-/// be regression-gated in CI. A no-op when no collector is active.
-pub fn record_work(counter: &str, substrate: &str, reference: u64, optimized: u64) {
-    let reduction = if reference > 0 {
-        1.0 - optimized as f64 / reference as f64
-    } else {
-        0.0
-    };
-    eprintln!(
-        "perf: {counter} on {substrate}: {reference} reference vs {optimized} optimized \
-         ({:.1}% less work)",
-        reduction * 100.0
-    );
+/// `work` array of `BENCH_<experiment>.json`). `optimized` is the count
+/// the production code path does; `reference`, when the probe has one,
+/// is the count of a direct reference implementation of the same work
+/// (e.g. the single-lane fault simulator), and adds `reference` and
+/// `reduction` fields to the row. Work counters are machine-independent,
+/// so — unlike the wall-clock speedups — they are **not** zeroed under
+/// `PREBOND3D_STABLE_MS` and can be regression-gated in CI. A no-op when
+/// no collector is active.
+pub fn record_work(counter: &str, substrate: &str, reference: Option<u64>, optimized: u64) {
+    let mut row = vec![
+        ("counter", counter.into()),
+        ("substrate", substrate.into()),
+        ("optimized", optimized.into()),
+    ];
+    match reference {
+        Some(reference) => {
+            let reduction = if reference > 0 {
+                1.0 - optimized as f64 / reference as f64
+            } else {
+                0.0
+            };
+            eprintln!(
+                "perf: {counter} on {substrate}: {reference} reference vs {optimized} optimized \
+                 ({:.1}% less work)",
+                reduction * 100.0
+            );
+            row.push(("reference", reference.into()));
+            row.push(("reduction", reduction.into()));
+        }
+        None => eprintln!("perf: {counter} on {substrate}: {optimized}"),
+    }
     if let Some(c) = COLLECTOR.lock().unwrap().as_mut() {
-        c.work.push(Value::obj([
-            ("counter", counter.into()),
-            ("substrate", substrate.into()),
-            ("reference", reference.into()),
-            ("optimized", optimized.into()),
-            ("reduction", reduction.into()),
-        ]));
+        c.work.push(Value::obj(row));
     }
 }
 
@@ -872,7 +880,8 @@ pub(crate) mod tests {
             let _s = obs::span("phase_a");
         });
         record_speedup("fault_simulation", "b12_die0", 4, 100.0, 40.0);
-        record_work("atpg.gate_evals", "b12_die0", 1000, 400);
+        record_work("atpg.gate_evals", "b12_die0", Some(1000), 400);
+        record_work("probe.cache_hits", "b12_die0", None, 6);
         let run_path = finish().expect("report written");
         std::env::remove_var("PREBOND3D_REPORT_DIR");
 
@@ -894,12 +903,16 @@ pub(crate) mod tests {
         assert_eq!(s.get("speedup").unwrap().as_u64(), None); // 2.5 is not integral
         assert!((s.get("speedup").unwrap().as_f64().unwrap() - 2.5).abs() < 1e-9);
         let work = doc.get("work").unwrap().as_arr().unwrap();
-        assert_eq!(work.len(), 1);
+        assert_eq!(work.len(), 2);
         let w = &work[0];
         assert_eq!(w.get("counter").unwrap().as_str(), Some("atpg.gate_evals"));
         assert_eq!(w.get("reference").unwrap().as_u64(), Some(1000));
         assert_eq!(w.get("optimized").unwrap().as_u64(), Some(400));
         assert!((w.get("reduction").unwrap().as_f64().unwrap() - 0.6).abs() < 1e-9);
+        // A row without a reference records the optimized count only.
+        let w = &work[1];
+        assert_eq!(w.get("optimized").unwrap().as_u64(), Some(6));
+        assert!(w.get("reference").is_none() && w.get("reduction").is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

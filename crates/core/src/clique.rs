@@ -125,13 +125,10 @@ fn remove_sorted(v: &mut Vec<usize>, x: usize) {
 
 /// Candidate score of node `j` — (carries a flip-flop, degree) — through
 /// the generation-stamped cache. A cached value is valid while no merge
-/// or rejection has touched `j`'s neighborhood since it was computed;
-/// with the cache off every read recomputes. Either way the answer is a
-/// pure function of the current state, so the modes are byte-identical.
+/// or rejection has touched `j`'s neighborhood since it was computed.
 #[allow(clippy::too_many_arguments)]
 fn candidate_score(
     j: usize,
-    cache_on: bool,
     generation: u64,
     states: &[State],
     neighbors: &[Vec<usize>],
@@ -140,7 +137,12 @@ fn candidate_score(
     score_val: &mut [(bool, usize)],
     rescores: &mut u64,
 ) -> (bool, usize) {
-    if cache_on && score_gen[j] >= touch_gen[j] {
+    if score_gen[j] >= touch_gen[j] {
+        debug_assert_eq!(
+            score_val[j],
+            (states[j].ff.is_some(), neighbors[j].len()),
+            "stale candidate score for node {j}"
+        );
         return score_val[j];
     }
     *rescores += 1;
@@ -279,10 +281,8 @@ pub fn partition(
     // Incremental candidate scoring (DESIGN.md §11): a node's selection
     // score — (carries a flip-flop, current degree) — is cached under a
     // generation stamp and recomputed only after a merge or rejection
-    // touched that node's neighborhood, instead of on every read the way
-    // the `PREBOND3D_NO_CACHE=1` reference mode does. Recomputes are
-    // tallied as `clique.candidate_rescores`.
-    let score_cache_on = prebond3d_netlist::tuning::cache_enabled();
+    // touched that node's neighborhood, instead of on every read.
+    // Recomputes are tallied as `clique.candidate_rescores`.
     let mut generation: u64 = 1;
     let mut touch_gen: Vec<u64> = vec![1; n];
     let mut score_gen: Vec<u64> = vec![0; n];
@@ -325,7 +325,6 @@ pub fn partition(
             }
             let (has_ff, deg) = candidate_score(
                 j,
-                score_cache_on,
                 generation,
                 &states,
                 &neighbors,

@@ -18,12 +18,14 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use prebond3d_atpg::engine::{run_stuck_at, run_stuck_at_on, AtpgConfig};
+use prebond3d_atpg::engine::{run_stuck_at_on, AtpgConfig};
 use prebond3d_atpg::{FaultList, TestAccess};
 use prebond3d_dft::{
     prebond_access, testable, TestableDie, WrapAssignment, WrapPlan, WrapperSource,
 };
-use prebond3d_netlist::{cone::ConeSet, BitSet, GateId, GateKind, Netlist};
+use prebond3d_netlist::{
+    cone::ConeSet, fanin_cone, fanout_cone, BitSet, GateId, GateKind, Netlist,
+};
 use prebond3d_obs as obs;
 
 /// Predicted/measured impact of letting two nodes share a wrapper cell.
@@ -118,18 +120,21 @@ impl TestabilityProbe for StructuralProbe {
 /// Only (scan-FF, TSV) and (TSV, TSV) pairs are meaningful; other node
 /// pairs return [`TestabilityCost::FREE`].
 ///
-/// Unless `PREBOND3D_NO_CACHE=1` is set, three hot-path optimizations are
-/// active (see DESIGN.md §11):
+/// The measurement is cone-restricted, and that restriction *defines*
+/// the reported cost (see DESIGN.md §11):
 ///
+/// * each ATPG run targets only the faults whose propagation root lies
+///   inside the union of both nodes' fan-in and fan-out cones (or in the
+///   wrapper logic itself). Faults outside the union cone see the same
+///   logic in the shared and dedicated configurations, so they are left
+///   out of the deltas. Coverage is still normalized by the full
+///   collapsed universe. A full-universe run would give different
+///   pattern counts, because ATPG on the extra faults changes which
+///   patterns are generated and kept;
 /// * every `(pair, shared)` measurement is memoized under a deterministic
-///   cone-signature key (`probe.cache_hits` / `probe.cache_misses`),
+///   cone-signature key (`probe.cache_hits` / `probe.cache_misses`);
 /// * the canonical dedicated-wrapper die (identical for every probed pair)
-///   is built, collapsed, and access-modeled once per netlist,
-/// * each ATPG run is restricted to the faults whose propagation root lies
-///   inside the pair's union cone (or in the wrapper logic itself) —
-///   faults outside the union cone behave identically in the shared and
-///   dedicated configurations, so they cancel out of the reported deltas.
-///   Coverage is still normalized by the full collapsed universe.
+///   is built, collapsed, and access-modeled once per netlist.
 #[derive(Debug)]
 pub struct AtpgProbe {
     /// ATPG effort for each probe run.
@@ -322,20 +327,9 @@ impl AtpgProbe {
         plan
     }
 
-    /// The pre-memoization reference measurement: build the wrapped die and
-    /// run ATPG over its full collapsed universe. This is the exact
-    /// `PREBOND3D_NO_CACHE=1` semantics.
-    fn measure_full(&self, netlist: &Netlist, a: GateId, b: GateId, shared: bool) -> (f64, usize) {
-        let plan = self.plan_for(netlist, a, b, shared);
-        let die = testable::apply(netlist, &plan).expect("probe plan is valid");
-        let access = prebond_access(&die);
-        let result = run_stuck_at(&die.netlist, &access, &self.config);
-        (result.coverage(), result.pattern_count())
-    }
-
     /// Memoized, cone-restricted measurement. `union` is the union of both
     /// nodes' fan-in and fan-out cones over the original netlist.
-    fn measure_cached(
+    fn measure(
         &self,
         netlist: &Netlist,
         union: &BitSet,
@@ -415,38 +409,21 @@ impl TestabilityProbe for AtpgProbe {
         // One latency sample per pair probed: the count is the number of
         // probe calls (thread-invariant), the values wall-clock.
         let probe_t0 = obs::is_active().then(std::time::Instant::now);
-        let cached = prebond3d_netlist::tuning::cache_enabled();
-        let union = if cached {
-            match (
-                cones.fanin(a),
-                cones.fanout(a),
-                cones.fanin(b),
-                cones.fanout(b),
-            ) {
-                (Some(fia), Some(foa), Some(fib), Some(fob)) => {
-                    let mut u = fia.clone();
-                    u.union_with(foa);
-                    u.union_with(fib);
-                    u.union_with(fob);
-                    Some(u)
-                }
-                _ => None, // node not a cone root: no restriction possible
+        // A node outside the cone set gets its cones on demand (graph
+        // construction roots every node, so production never does).
+        let mut union = BitSet::new(netlist.len());
+        for n in [a, b] {
+            match cones.fanin(n) {
+                Some(c) => union.union_with(c),
+                None => union.union_with(&fanin_cone(netlist, n)),
             }
-        } else {
-            None
-        };
-        let (cov_shared, pat_shared, cov_sep, pat_sep) = match &union {
-            Some(u) => {
-                let (cs, ps) = self.measure_cached(netlist, u, a, b, true);
-                let (cd, pd) = self.measure_cached(netlist, u, a, b, false);
-                (cs, ps, cd, pd)
+            match cones.fanout(n) {
+                Some(c) => union.union_with(c),
+                None => union.union_with(&fanout_cone(netlist, n)),
             }
-            None => {
-                let (cs, ps) = self.measure_full(netlist, a, b, true);
-                let (cd, pd) = self.measure_full(netlist, a, b, false);
-                (cs, ps, cd, pd)
-            }
-        };
+        }
+        let (cov_shared, pat_shared) = self.measure(netlist, &union, a, b, true);
+        let (cov_sep, pat_sep) = self.measure(netlist, &union, a, b, false);
         if let Some(t0) = probe_t0 {
             obs::hist("probe.latency_ns", t0.elapsed().as_nanos() as u64);
         }
@@ -536,6 +513,49 @@ mod tests {
             cost.coverage_loss < 0.5,
             "sharing one pair cannot halve coverage"
         );
+    }
+
+    /// The cone-restricted measurement is the only definition of the
+    /// measured cost: a probe handed cones for no root at all (so it
+    /// derives every cone on demand) prices each (FF, inbound TSV) pair
+    /// exactly as a probe handed the precomputed cones does.
+    #[test]
+    fn sharing_cost_does_not_depend_on_which_cones_were_precomputed() {
+        let mut rng = prebond3d_rng::StdRng::seed_from_u64(0x9B0B_E5C0);
+        for case in 0..4u64 {
+            let spec = itc99::DieSpec {
+                name: format!("probe_die{case}"),
+                scan_flip_flops: rng.gen_range(4usize..10),
+                gates: rng.gen_range(60usize..120),
+                inbound_tsvs: rng.gen_range(3usize..6),
+                outbound_tsvs: rng.gen_range(2usize..5),
+                primary_inputs: 4,
+                primary_outputs: 3,
+                seed: rng.gen_range(0u64..10_000),
+            };
+            let die = itc99::generate_die(&spec);
+            let ffs = die.flip_flops();
+            let tsvs = die.inbound_tsvs();
+            let mut roots = ffs.clone();
+            roots.extend(&tsvs);
+            let rooted = ConeSet::compute(&die, &roots);
+            let unrooted = ConeSet::compute(&die, &[]);
+            // Low PODEM effort keeps the sweep fast in debug builds; the
+            // comparison does not depend on it.
+            let mut config = AtpgConfig::fast();
+            config.podem.backtrack_limit = 8;
+            let with_cones = AtpgProbe::with_config(config);
+            let on_demand = AtpgProbe::with_config(config);
+            for &ff in ffs.iter().take(3) {
+                for &t in tsvs.iter().take(3) {
+                    assert_eq!(
+                        with_cones.sharing_cost(&die, &rooted, ff, t),
+                        on_demand.sharing_cost(&die, &unrooted, ff, t),
+                        "case {case}: pair ({ff:?}, {t:?})"
+                    );
+                }
+            }
+        }
     }
 
     /// The cache-lifetime fix: two netlists with the *same* name and gate

@@ -70,12 +70,9 @@ pub fn fanout_cone(netlist: &Netlist, root: GateId) -> BitSet {
 /// pure bitset intersections. On top of the raw cones the set caches each
 /// cone's non-zero word span and population at compute time, so overlap
 /// queries only walk the words where both cones can have bits (DESIGN.md
-/// §11) — with `PREBOND3D_NO_CACHE=1` the spans are ignored and every
-/// query walks the full word width, the reference mode the equivalence
-/// sweep and the bench perf probe compare against. Every word actually
-/// examined is tallied in a relaxed atomic, readable via
-/// [`Self::word_ops`]; the tally is exact at any thread count because it
-/// only ever accumulates.
+/// §11). Every word actually examined is tallied in a relaxed atomic,
+/// readable via [`Self::word_ops`]; the tally is exact at any thread
+/// count because it only ever accumulates.
 #[derive(Debug)]
 pub struct ConeSet {
     roots: Vec<GateId>,
@@ -88,8 +85,6 @@ pub struct ConeSet {
     fanin_pop: Vec<usize>,
     fanout_pop: Vec<usize>,
     index_of: std::collections::HashMap<GateId, usize>,
-    /// Captured from [`crate::tuning::cache_enabled`] at compute time.
-    use_spans: bool,
     word_ops: std::sync::atomic::AtomicU64,
 }
 
@@ -104,7 +99,6 @@ impl Clone for ConeSet {
             fanin_pop: self.fanin_pop.clone(),
             fanout_pop: self.fanout_pop.clone(),
             index_of: self.index_of.clone(),
-            use_spans: self.use_spans,
             word_ops: std::sync::atomic::AtomicU64::new(
                 self.word_ops.load(std::sync::atomic::Ordering::Relaxed),
             ),
@@ -134,7 +128,6 @@ impl ConeSet {
             fanin,
             fanout,
             index_of,
-            use_spans: crate::tuning::cache_enabled(),
             word_ops: std::sync::atomic::AtomicU64::new(0),
         }
     }
@@ -170,18 +163,12 @@ impl ConeSet {
         self.word_ops.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Span-clipped overlap test over one cone family. In span mode only
-    /// the words inside both cones' non-zero spans are walked (zero when
-    /// the spans are disjoint); in the no-cache reference mode the full
-    /// common word width is walked. Both paths return identical answers.
+    /// Span-clipped overlap test over one cone family: only the words
+    /// inside both cones' non-zero spans are walked (zero when the spans
+    /// are disjoint).
     fn overlap(&self, cones: &[BitSet], spans: &[(usize, usize)], i: usize, j: usize) -> bool {
         use std::sync::atomic::Ordering::Relaxed;
         let (a, b) = (&cones[i], &cones[j]);
-        if !self.use_spans {
-            let walked = a.words().len().min(b.words().len());
-            self.word_ops.fetch_add(walked as u64, Relaxed);
-            return a.intersects(b);
-        }
         let lo = spans[i].0.max(spans[j].0);
         let hi = spans[i].1.min(spans[j].1);
         if lo > hi {
@@ -203,11 +190,6 @@ impl ConeSet {
     ) -> usize {
         use std::sync::atomic::Ordering::Relaxed;
         let (a, b) = (&cones[i], &cones[j]);
-        if !self.use_spans {
-            let walked = a.words().len().min(b.words().len());
-            self.word_ops.fetch_add(walked as u64, Relaxed);
-            return a.intersection_count(b);
-        }
         let lo = spans[i].0.max(spans[j].0);
         let hi = spans[i].1.min(spans[j].1);
         if lo > hi {
@@ -377,37 +359,54 @@ mod tests {
         assert_eq!(cones.try_cones_overlap(g1, g2), Some(false));
     }
 
+    /// The span-clipped queries answer exactly what the plain full-width
+    /// `BitSet` operations on the stored cones answer, over every root
+    /// pair of seeded random dies, and the work tally counts what they
+    /// walked.
     #[test]
-    fn span_mode_and_reference_mode_agree_and_count_work() {
-        let _l = crate::tuning::TEST_LOCK.lock().unwrap();
-        let (n, g1, g2, _) = two_trees();
-        crate::tuning::force_no_cache(Some(false));
-        let fast = ConeSet::compute(&n, &[g1, g2]);
-        crate::tuning::force_no_cache(Some(true));
-        let slow = ConeSet::compute(&n, &[g1, g2]);
-        crate::tuning::force_no_cache(None);
-
-        assert_eq!(
-            fast.try_cones_overlap(g1, g2),
-            slow.try_cones_overlap(g1, g2)
-        );
-        assert_eq!(
-            fast.try_fanin_overlap_count(g1, g2),
-            slow.try_fanin_overlap_count(g1, g2)
-        );
-        assert_eq!(
-            fast.try_fanout_overlap_count(g1, g2),
-            slow.try_fanout_overlap_count(g1, g2)
-        );
-        // The reference mode walks at least as many words.
-        assert!(fast.word_ops() <= slow.word_ops());
-        assert!(slow.word_ops() > 0);
-        // Populations are cached at compute time.
-        assert_eq!(fast.fanin_population(g1), Some(3)); // a, b, g1
-        assert_eq!(fast.fanin_population(g1), slow.fanin_population(g1));
-        assert_eq!(fast.fanout_population(g2), slow.fanout_population(g2));
-        // Cloning carries the tally forward.
-        assert_eq!(fast.clone().word_ops(), fast.word_ops());
+    fn span_clipped_queries_match_full_width_bitset_ops() {
+        let mut rng = prebond3d_rng::StdRng::seed_from_u64(0xC0DE_5EED);
+        for case in 0..4u64 {
+            let spec = crate::itc99::DieSpec {
+                name: format!("cone_sweep{case}"),
+                scan_flip_flops: rng.gen_range(4usize..20),
+                gates: rng.gen_range(60usize..260),
+                inbound_tsvs: rng.gen_range(2usize..10),
+                outbound_tsvs: rng.gen_range(2usize..10),
+                primary_inputs: 4,
+                primary_outputs: 4,
+                seed: rng.gen_range(0u64..10_000),
+            };
+            let n = crate::itc99::generate_die(&spec);
+            let mut roots = n.flip_flops();
+            roots.extend(n.inbound_tsvs());
+            roots.extend(n.outbound_tsvs());
+            let cones = ConeSet::compute(&n, &roots);
+            for &a in &roots {
+                let (fia, foa) = (cones.fanin(a).unwrap(), cones.fanout(a).unwrap());
+                assert_eq!(cones.fanin_population(a), Some(fia.count()));
+                assert_eq!(cones.fanout_population(a), Some(foa.count()));
+                for &b in &roots {
+                    let (fib, fob) = (cones.fanin(b).unwrap(), cones.fanout(b).unwrap());
+                    assert_eq!(cones.try_fanin_overlaps(a, b), Some(fia.intersects(fib)));
+                    assert_eq!(cones.try_fanout_overlaps(a, b), Some(foa.intersects(fob)));
+                    assert_eq!(
+                        cones.try_fanin_overlap_count(a, b),
+                        Some(fia.intersection_count(fib))
+                    );
+                    assert_eq!(
+                        cones.try_fanout_overlap_count(a, b),
+                        Some(foa.intersection_count(fob))
+                    );
+                }
+            }
+            assert!(
+                cones.word_ops() > 0,
+                "case {case}: queries tally their words"
+            );
+            // Cloning carries the tally forward.
+            assert_eq!(cones.clone().word_ops(), cones.word_ops());
+        }
     }
 
     #[test]

@@ -44,7 +44,6 @@ pub mod logic;
 pub mod netlist;
 pub mod stats;
 pub mod traverse;
-pub mod tuning;
 
 pub use bitset::BitSet;
 pub use builder::NetlistBuilder;

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use prebond3d_celllib::Library;
-use prebond3d_netlist::{format, itc99, tuning, Netlist};
+use prebond3d_netlist::{format, itc99, Netlist};
 use prebond3d_obs as obs;
 use prebond3d_obs::json::Value;
 use prebond3d_place::{place, PlaceConfig, Placement};
@@ -39,7 +39,7 @@ use crate::proto::{method_wire, scenario_wire, JobSource, JobSpec, ProbeKind};
 pub struct JobOutcome {
     /// Per-job exit code (0–4; see the module table).
     pub code: i32,
-    /// `hit` / `miss` / `bypass` (cache disabled via `PREBOND3D_NO_CACHE`).
+    /// `hit` or `miss`.
     pub cache_tag: &'static str,
     /// `phase` frames (per-span telemetry), in completion order.
     pub phases: Vec<Value>,
@@ -229,25 +229,18 @@ pub fn run_job(spec: &JobSpec, cache: &WarmCache) -> JobOutcome {
     let cached_key = std::cell::Cell::new(None::<u64>);
     let body = || -> Result<JobSuccess, JobFail> {
         let key = source_key(&spec.source).map_err(JobFail::Bad)?;
-        let entry: Arc<WarmEntry> = if tuning::cache_enabled() {
-            match cache.lookup(key) {
-                Some(hit) => {
-                    cache_tag.set("hit");
-                    hit
-                }
-                None => {
-                    let built = Arc::new(build_entry(&spec.source).map_err(JobFail::Bad)?);
-                    cache.insert(key, Arc::clone(&built));
-                    built
-                }
+        let entry: Arc<WarmEntry> = match cache.lookup(key) {
+            Some(hit) => {
+                cache_tag.set("hit");
+                hit
             }
-        } else {
-            cache_tag.set("bypass");
-            Arc::new(build_entry(&spec.source).map_err(JobFail::Bad)?)
+            None => {
+                let built = Arc::new(build_entry(&spec.source).map_err(JobFail::Bad)?);
+                cache.insert(key, Arc::clone(&built));
+                built
+            }
         };
-        if tuning::cache_enabled() {
-            cached_key.set(Some(key));
-        }
+        cached_key.set(Some(key));
         // --- Static admission gate (DESIGN.md §14) ----------------------
         // A statically-untestable wrapper boundary means every ATPG cycle
         // spent on this die is wasted and the resulting coverage tables

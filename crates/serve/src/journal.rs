@@ -6,7 +6,7 @@
 //! transition is journaled, and on startup the unfinished entries are
 //! replayed through the worker pool — so a SIGKILLed daemon converges to
 //! the same per-job `report` sub-objects an uninterrupted run produces
-//! (the cold/warm/bypass byte-identity contract already guarantees the
+//! (the cold/warm byte-identity contract already guarantees the
 //! reports are cache- and thread-count-independent).
 //!
 //! ## File format

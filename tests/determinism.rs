@@ -138,8 +138,8 @@ fn full_flow_and_atpg_results_are_thread_invariant() {
 /// the width-8 detection masks, wrapper counts and fault coverage must be
 /// byte-identical serial and parallel. Threads change how fault chunks
 /// are claimed and may not leak into any result bit; the W=1 oracle is
-/// checked against the wide paths by `cache_equivalence` and the
-/// `faultsim` unit tests.
+/// checked against the wide paths by the `engine` and `faultsim` unit
+/// tests.
 #[test]
 fn wide_lane_masks_and_flow_are_thread_invariant() {
     let lib = Library::nangate45_like();

@@ -93,7 +93,8 @@ fn report_files_match_the_golden_schemas() {
         |_| Some(0u32),
     );
     report::record_speedup("fault_simulation", "synthetic Die1", 4, 10.0, 4.0);
-    report::record_work("atpg.gate_evals", "synthetic Die1", 1000, 400);
+    report::record_work("atpg.gate_evals", "synthetic Die1", Some(1000), 400);
+    report::record_work("probe.cache_hits", "synthetic Die1", None, 6);
     let run_path = report::finish().expect("reports written");
     chaos::install(None);
     let bench_path = run_path.with_file_name("BENCH_schema_probe.json");

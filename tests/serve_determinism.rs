@@ -1,8 +1,7 @@
 //! Serving determinism: the deterministic `report` sub-object of a
 //! `done` frame must be **byte-identical** wherever the same job runs —
-//! cold (cache miss), warm (cache hit), with the cache bypassed
-//! (`PREBOND3D_NO_CACHE=1` semantics), on a single-worker or a
-//! four-worker daemon, and for inline netlists as much as generated
+//! cold (cache miss), warm (cache hit), on a daemon whose zero cache
+//! budget admits nothing, on a single-worker or a four-worker daemon, and for inline netlists as much as generated
 //! ones. Telemetry (`ms`, `counters`, the `cache` tag) legitimately
 //! differs run to run; the report must not.
 
@@ -11,14 +10,10 @@
 #[path = "serve_util/mod.rs"]
 mod serve_util;
 
-use std::sync::Mutex;
-
-use prebond3d_netlist::{itc99, tuning};
+use prebond3d_netlist::itc99;
 use prebond3d_obs::json::Value;
-use serve_util::{field, start_server, stop, Client};
-
-/// `tuning::force_no_cache` is process-global; serialize the tests.
-static LOCK: Mutex<()> = Mutex::new(());
+use prebond3d_serve::ServerConfig;
+use serve_util::{field, start_server, start_with, stop, test_config, Client};
 
 const JOB: &str =
     r#"{"op":"submit","id":"det","circuit":"b11","die":0,"method":"ours","probe":"structural"}"#;
@@ -31,8 +26,7 @@ fn report_bytes(done: &Value) -> String {
 }
 
 #[test]
-fn cold_warm_and_bypassed_reports_are_byte_identical() {
-    let _l = LOCK.lock().unwrap();
+fn cold_warm_and_uncached_reports_are_byte_identical() {
     let (server, addr) = start_server(1);
     let mut client = Client::connect(&addr);
 
@@ -46,20 +40,26 @@ fn cold_warm_and_bypassed_reports_are_byte_identical() {
         "a warm hit must reproduce the cold report byte for byte"
     );
 
-    // PREBOND3D_NO_CACHE semantics: the job bypasses the warm cache
-    // entirely and still produces the same bytes.
-    tuning::force_no_cache(Some(true));
-    let bypass = client.submit(JOB);
-    tuning::force_no_cache(None);
-    assert_eq!(field(&bypass, "cache"), "bypass");
-    assert_eq!(report_bytes(&cold), report_bytes(&bypass));
+    stop(server);
 
+    // `--cache-bytes 0`: no entry fits the budget, so every job runs
+    // cold and still produces the same bytes.
+    let (server, addr) = start_with(ServerConfig {
+        workers: 1,
+        cache_bytes: 0,
+        ..test_config()
+    });
+    let mut client = Client::connect(&addr);
+    for _ in 0..2 {
+        let uncached = client.submit(JOB);
+        assert_eq!(field(&uncached, "cache"), "miss");
+        assert_eq!(report_bytes(&cold), report_bytes(&uncached));
+    }
     stop(server);
 }
 
 #[test]
 fn reports_are_identical_across_worker_counts() {
-    let _l = LOCK.lock().unwrap();
     let mut reference: Option<String> = None;
     for workers in [1, 4] {
         let (server, addr) = start_server(workers);
@@ -92,7 +92,6 @@ fn reports_are_identical_across_worker_counts() {
 
 #[test]
 fn inline_netlists_key_by_content_and_reproduce() {
-    let _l = LOCK.lock().unwrap();
     let spec = itc99::DieSpec {
         name: "inline_die".to_string(),
         scan_flip_flops: 6,
