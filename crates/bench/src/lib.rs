@@ -14,7 +14,6 @@ pub mod context;
 pub mod driver;
 pub mod fig7;
 pub mod lintflow;
-pub mod loadgen;
 pub mod obsdiff;
 pub mod perf;
 pub mod report;

@@ -28,31 +28,21 @@
 
 use prebond3d_obs::json::Value;
 
-/// Deterministic work counters whose growth fails the gate. Matches the
-/// set the perf experiment records via `report::record_work` plus the
-/// serving loadgen's miss counter (`BENCH_serve.json`): a cold rebuild
-/// that should have been a warm hit is a regression, while hit/eviction
-/// rows stay informational (more hits is *better*).
-pub const GATED_COUNTERS: [&str; 6] = [
+/// Deterministic work counters whose growth fails the gate: the set the
+/// perf experiment records via `report::record_work`. Cache hit/miss rows
+/// stay informational (more hits is *better*).
+pub const GATED_COUNTERS: [&str; 5] = [
     "atpg.gate_evals",
     "atpg.pattern_batches",
     "podem.implication_evals",
     "graph.cone_word_ops",
     "clique.candidate_rescores",
-    "serve.cache_misses",
 ];
 
 /// Deterministic counters whose *shrink* fails the gate: they measure
-/// work statically avoided (dataflow-pruned faults) or robustness
-/// machinery exercised (journal orphans replayed, over-limit submits
-/// shed), so a drop below the baseline by more than the threshold means
-/// the analysis went blind — or the crash-recovery / backpressure
-/// drills silently stopped covering what they used to.
-pub const FLOOR_GATED_COUNTERS: [&str; 3] = [
-    "atpg.faults_pruned",
-    "serve.recovered",
-    "serve.shed",
-];
+/// work statically avoided (dataflow-pruned faults), so a drop below the
+/// baseline by more than the threshold means the analysis went blind.
+pub const FLOOR_GATED_COUNTERS: [&str; 1] = ["atpg.faults_pruned"];
 
 /// One aligned comparison row.
 #[derive(Debug, Clone)]

@@ -28,8 +28,12 @@
 //! touch (let alone reset) the global registry, and the collector pushes
 //! sections **in submission order**, so the report's section list is
 //! identical for any `PREBOND3D_THREADS`. Only the `ms` timings differ
-//! run to run; every counter and span count is exact (counters commute —
-//! each probe lands in exactly one section's registry). With
+//! run to run; every counter and span count is exact at any thread count.
+//! Counters commute, and each probe lands in exactly one section's
+//! registry: a parallel region nested in a die worker runs inline (the
+//! pool's nesting rule), and one entered from a capturing non-worker
+//! thread folds its workers' counters back into the capture — but only
+//! counters and histograms; its workers' spans stay per thread. With
 //! `PREBOND3D_STABLE_MS=1` the wall-clock fields are zeroed at [`finish`],
 //! making reports byte-identical across runs — the mode the
 //! kill-and-resume determinism suite runs under.

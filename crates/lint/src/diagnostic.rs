@@ -16,7 +16,7 @@
 //! | P340x  | `timing-model`  | timing-model/threshold sanity, slack      |
 //! | P350x  | `mission-equiv` | mission-mode co-simulation                |
 //! | P360x  | `report-schema` | run/BENCH report JSON schema              |
-//! | P370x  | `report-schema` | serving report (`BENCH_serve`) consistency |
+//! | P370x  | —               | retired (serving-report consistency); never reused |
 //! | P380x  | `dataflow`      | fixpoint constant/X propagation, static testability |
 
 use std::fmt;
@@ -132,20 +132,6 @@ pub const REPORT_UNPARSABLE: Code = Code(3601);
 pub const REPORT_SCHEMA_DRIFT: Code = Code(3602);
 /// A run/BENCH report omits the expected telemetry blocks (hists/mem).
 pub const REPORT_MISSING_TELEMETRY: Code = Code(3603);
-
-// --- report-schema, serving reports (P370x) ------------------------------
-/// A serving report's job accounting does not balance
-/// (`jobs.submitted != jobs.done + jobs.failed`).
-pub const SERVE_JOBS_UNACCOUNTED: Code = Code(3701);
-/// A serving report recorded zero warm-cache hits — the run never
-/// exercised the cross-request cache it exists to measure.
-pub const SERVE_CACHE_COLD: Code = Code(3702);
-/// A serving report's journal accounting leaves jobs unaccounted
-/// (`recovery.journal_pending > 0` after the run drained).
-pub const SERVE_JOURNAL_UNACCOUNTED_JOB: Code = Code(3703);
-/// A serving report omits the recovery telemetry block — the durability
-/// drills (crash recovery, dedup) never ran or were dropped.
-pub const SERVE_REPORT_MISSING_RECOVERY_TELEMETRY: Code = Code(3704);
 
 // --- dataflow (P380x) -----------------------------------------------------
 /// A combinational net the value-set fixpoint proves constant.
@@ -321,30 +307,6 @@ pub const REGISTRY: &[RegistryRow] = &[
         "report-missing-telemetry",
         Severity::Warn,
         "report omits the expected telemetry blocks (hists/mem)",
-    ),
-    (
-        SERVE_JOBS_UNACCOUNTED,
-        "serve-jobs-unaccounted",
-        Severity::Error,
-        "serving report's submitted jobs do not balance done + failed",
-    ),
-    (
-        SERVE_CACHE_COLD,
-        "serve-cache-cold",
-        Severity::Warn,
-        "serving report recorded zero warm-cache hits",
-    ),
-    (
-        SERVE_JOURNAL_UNACCOUNTED_JOB,
-        "serve-journal-unaccounted-job",
-        Severity::Error,
-        "serving report left journaled jobs pending after the drain",
-    ),
-    (
-        SERVE_REPORT_MISSING_RECOVERY_TELEMETRY,
-        "serve-report-missing-recovery-telemetry",
-        Severity::Warn,
-        "serving report omits the recovery telemetry block",
     ),
     (
         DATAFLOW_CONST_NET,

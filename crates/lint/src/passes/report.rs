@@ -19,8 +19,6 @@ use std::sync::OnceLock;
 use crate::context::LintContext;
 use crate::diagnostic::{
     Code, Diagnostic, Location, REPORT_MISSING_TELEMETRY, REPORT_SCHEMA_DRIFT, REPORT_UNPARSABLE,
-    SERVE_CACHE_COLD, SERVE_JOBS_UNACCOUNTED, SERVE_JOURNAL_UNACCOUNTED_JOB,
-    SERVE_REPORT_MISSING_RECOVERY_TELEMETRY,
 };
 use crate::schema;
 use crate::Pass;
@@ -32,7 +30,6 @@ const MAX_DRIFT: usize = 5;
 
 static RUN_GOLDEN: OnceLock<BTreeSet<String>> = OnceLock::new();
 static BENCH_GOLDEN: OnceLock<BTreeSet<String>> = OnceLock::new();
-static SERVE_GOLDEN: OnceLock<BTreeSet<String>> = OnceLock::new();
 
 fn run_golden() -> &'static BTreeSet<String> {
     RUN_GOLDEN.get_or_init(|| {
@@ -50,28 +47,11 @@ fn bench_golden() -> &'static BTreeSet<String> {
     })
 }
 
-fn serve_golden() -> &'static BTreeSet<String> {
-    SERVE_GOLDEN.get_or_init(|| {
-        schema::parse_golden(include_str!(
-            "../../../../tests/golden/serve_report.schema.txt"
-        ))
-    })
-}
-
-/// Is this label the serving benchmark report (`BENCH_serve.json`)?
-fn is_serve_report(base: &str) -> bool {
-    base.starts_with("BENCH_serve")
-}
-
 /// Pick the golden schema for a report label (file basename); `None` for
-/// artifacts the pass does not know how to validate. `BENCH_serve` must
-/// match before the generic `BENCH_` prefix: the serving report has a
-/// jobs/cache shape the per-die bench golden never saw.
+/// artifacts the pass does not know how to validate.
 fn golden_for(label: &str) -> Option<&'static BTreeSet<String>> {
     let base = label.rsplit('/').next().unwrap_or(label);
-    if is_serve_report(base) {
-        Some(serve_golden())
-    } else if base.starts_with("BENCH_") {
+    if base.starts_with("BENCH_") {
         Some(bench_golden())
     } else if base.starts_with("run_") {
         Some(run_golden())
@@ -97,10 +77,6 @@ impl Pass for ReportSchemaPass {
             REPORT_UNPARSABLE,
             REPORT_SCHEMA_DRIFT,
             REPORT_MISSING_TELEMETRY,
-            SERVE_JOBS_UNACCOUNTED,
-            SERVE_CACHE_COLD,
-            SERVE_JOURNAL_UNACCOUNTED_JOB,
-            SERVE_REPORT_MISSING_RECOVERY_TELEMETRY,
         ]
     }
 
@@ -143,24 +119,17 @@ impl Pass for ReportSchemaPass {
                 ));
             }
             check_telemetry_blocks(label, &value, &ctx.artifact, out);
-            let base = label.rsplit('/').next().unwrap_or(label);
-            if is_serve_report(base) {
-                check_serve_consistency(label, &value, &ctx.artifact, out);
-            }
         }
     }
 }
 
 /// Reports grown after the telemetry round carry `hists` + `mem` (run
-/// reports) resp. `mem` + `pool` (bench reports); the serving report
-/// carries `cache` + `jobs` + `mem`. A report omitting them is probably
+/// reports) resp. `mem` + `pool` (bench reports). A report omitting them is probably
 /// produced by a stale binary — worth a warning, not a failure, since
 /// lite fixtures legitimately skip optional blocks.
 fn check_telemetry_blocks(label: &str, value: &Value, artifact: &str, out: &mut Vec<Diagnostic>) {
     let base = label.rsplit('/').next().unwrap_or(label);
-    let expected: &[&str] = if is_serve_report(base) {
-        &["cache", "jobs", "mem"]
-    } else if base.starts_with("BENCH_") {
+    let expected: &[&str] = if base.starts_with("BENCH_") {
         &["mem", "pool"]
     } else {
         &["hists", "mem"]
@@ -178,81 +147,6 @@ fn check_telemetry_blocks(label: &str, value: &Value, artifact: &str, out: &mut 
                 format!("report omits telemetry block(s): {}", missing.join(", ")),
             )
             .with_help("regenerate the report with a current bench binary"),
-        );
-    }
-}
-
-/// Cross-field invariants of the serving report that the schema cannot
-/// express: every submitted job must drain to done or failed (a lost job
-/// means the daemon's queue leaked under load), and a serving run whose
-/// warm cache never hit is measuring nothing the daemon exists for.
-fn check_serve_consistency(label: &str, value: &Value, artifact: &str, out: &mut Vec<Diagnostic>) {
-    let num = |block: &str, key: &str| -> Option<u64> {
-        value
-            .get(block)
-            .and_then(|b| b.get(key))
-            .and_then(Value::as_u64)
-    };
-    if let (Some(submitted), Some(done), Some(failed)) = (
-        num("jobs", "submitted"),
-        num("jobs", "done"),
-        num("jobs", "failed"),
-    ) {
-        if submitted != done + failed {
-            out.push(
-                Diagnostic::new(
-                    SERVE_JOBS_UNACCOUNTED,
-                    Location::item(artifact, label.to_string()),
-                    format!(
-                        "job accounting does not balance: {submitted} submitted, \
-                         {done} done + {failed} failed"
-                    ),
-                )
-                .with_help("a job vanished between the daemon's queue and its workers"),
-            );
-        }
-    }
-    if num("cache", "hits") == Some(0) {
-        out.push(
-            Diagnostic::new(
-                SERVE_CACHE_COLD,
-                Location::item(artifact, label.to_string()),
-                "warm cache never hit during the serving run".to_string(),
-            )
-            .with_help("the loadgen mix should replay at least one substrate"),
-        );
-    }
-    // Durability invariants (DESIGN.md §15). A report without a recovery
-    // block was produced by a pre-journal loadgen binary — warn; a report
-    // whose journal still holds pending jobs after the run drained means
-    // accepted work was lost across the crash drill — that's an error.
-    if matches!(value.get("recovery"), Some(Value::Obj(_))) {
-        if let Some(pending) = num("recovery", "journal_pending") {
-            if pending > 0 {
-                out.push(
-                    Diagnostic::new(
-                        SERVE_JOURNAL_UNACCOUNTED_JOB,
-                        Location::item(artifact, label.to_string()),
-                        format!(
-                            "{pending} journaled job(s) still pending after the \
-                             recovery drill drained"
-                        ),
-                    )
-                    .with_help(
-                        "an accepted job was neither replayed to done nor failed \
-                         — the daemon's crash recovery lost work",
-                    ),
-                );
-            }
-        }
-    } else {
-        out.push(
-            Diagnostic::new(
-                SERVE_REPORT_MISSING_RECOVERY_TELEMETRY,
-                Location::item(artifact, label.to_string()),
-                "report omits the recovery telemetry block".to_string(),
-            )
-            .with_help("regenerate the report with a current loadgen binary"),
         );
     }
 }
@@ -383,94 +277,5 @@ mod tests {
             "{}",
             report.render()
         );
-    }
-
-    /// Minimal serving report that satisfies the serve golden schema and
-    /// both cross-field invariants.
-    fn valid_serve_report() -> String {
-        r#"{
-            "experiment": "serve",
-            "threads": 0,
-            "elapsed_ms": 0.0,
-            "clients": 3,
-            "jobs_per_client": 6,
-            "seed": 7,
-            "phases": [{"path": "serve_place", "count": 3, "ms": 4.0,
-                        "p50_ns": 0, "p95_ns": 0, "p99_ns": 0, "max_ns": 0}],
-            "hists": {"serve.latency_warm_ns": {"count": 4, "sum": 8, "max": 3,
-                                                "p50": 2, "p95": 3, "p99": 3}},
-            "jobs": {"submitted": 21, "done": 21, "failed": 0,
-                     "protocol_errors": 0},
-            "cache": {"hits": 18, "misses": 3, "evictions": 0,
-                      "entries": 3, "budget": 1000},
-            "mem": {"rss_now_kb": 0, "rss_peak_kb": 0},
-            "backpressure": {"shed": 3, "shed_deterministic": 3,
-                             "retry_after_frames": 3},
-            "recovery": {"recovered": 3, "deduped": 3, "journal_pending": 0,
-                         "journal_done": 6, "kill_recovered": 4},
-            "work": [{"counter": "serve.cache_misses", "substrate": "job mix",
-                      "reference": 21, "optimized": 3, "reduction": 0.857}]
-        }"#
-        .to_string()
-    }
-
-    #[test]
-    fn serve_report_routes_to_its_own_golden() {
-        // A valid serving report is clean — in particular it does NOT
-        // drift against the per-die bench golden the generic `BENCH_`
-        // prefix would have picked.
-        let report = lint("BENCH_serve.json", valid_serve_report());
-        assert!(!report.has_errors(), "{}", report.render());
-        assert!(
-            report.with_code(REPORT_MISSING_TELEMETRY).is_empty(),
-            "{}",
-            report.render()
-        );
-    }
-
-    #[test]
-    fn serve_report_with_unbalanced_jobs_is_flagged() {
-        let text = valid_serve_report().replace(r#""done": 21"#, r#""done": 19"#);
-        let report = lint("BENCH_serve.json", text);
-        let findings = report.with_code(SERVE_JOBS_UNACCOUNTED);
-        assert_eq!(findings.len(), 1, "{}", report.render());
-        assert!(findings[0].message.contains("21 submitted"));
-        assert!(report.has_errors());
-    }
-
-    #[test]
-    fn serve_report_with_cold_cache_warns() {
-        let text = valid_serve_report().replace(r#""hits": 18"#, r#""hits": 0"#);
-        let report = lint("BENCH_serve.json", text);
-        assert_eq!(report.with_code(SERVE_CACHE_COLD).len(), 1);
-        assert!(!report.has_errors(), "{}", report.render());
-    }
-
-    #[test]
-    fn serve_report_with_pending_journal_jobs_is_flagged() {
-        let text =
-            valid_serve_report().replace(r#""journal_pending": 0"#, r#""journal_pending": 2"#);
-        let report = lint("BENCH_serve.json", text);
-        let findings = report.with_code(SERVE_JOURNAL_UNACCOUNTED_JOB);
-        assert_eq!(findings.len(), 1, "{}", report.render());
-        assert!(findings[0].message.contains("2 journaled job(s)"));
-        assert!(report.has_errors());
-    }
-
-    #[test]
-    fn serve_report_without_recovery_block_warns() {
-        let text = valid_serve_report().replace(r#""recovery":"#, r#""recovery_gone":"#);
-        let report = lint("BENCH_serve.json", text);
-        let warns = report.with_code(SERVE_REPORT_MISSING_RECOVERY_TELEMETRY);
-        assert_eq!(warns.len(), 1, "{}", report.render());
-    }
-
-    #[test]
-    fn serve_report_missing_cache_block_warns() {
-        let text = valid_serve_report().replace(r#""cache":"#, r#""cache_gone":"#);
-        let report = lint("BENCH_serve.json", text);
-        let warns = report.with_code(REPORT_MISSING_TELEMETRY);
-        assert_eq!(warns.len(), 1, "{}", report.render());
-        assert!(warns[0].message.contains("cache"));
     }
 }

@@ -54,6 +54,11 @@
 //! [`Snapshot`]. Counter *sums* across captured workers equal the serial
 //! run's counters exactly, because counters only ever add and each probe
 //! lands in exactly one registry — merge order cannot change a sum.
+//!
+//! A pool worker spawned by a capturing thread runs under
+//! [`capture_carry`], and the pool [`fold`](Carry::fold)s its counters and
+//! histograms into the caller's capture once the parallel region ends, so
+//! a capture sees the same counters at any thread count.
 
 #[cfg(feature = "obs-alloc")]
 pub mod alloc;
@@ -593,6 +598,11 @@ pub fn alloc_stats() -> Option<(u64, u64, u64)> {
 /// only live under a sink or [`record`] — the capture does not force
 /// recording on by itself.
 pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Snapshot) {
+    let (out, reg) = capture_registry(f);
+    (out, reg.to_snapshot())
+}
+
+fn capture_registry<T>(f: impl FnOnce() -> T) -> (T, Registry) {
     /// Restores the previously installed registry on drop (unwind-safe).
     struct Restore {
         prev: Option<Registry>,
@@ -616,8 +626,52 @@ pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Snapshot) {
     let prev = LOCAL.with(|l| l.borrow_mut().replace(Registry::default()));
     let mut restore = Restore { prev, done: false };
     let out = f();
-    let snap = restore.finish().to_snapshot();
-    (out, snap)
+    (out, restore.finish())
+}
+
+/// Is a [`capture`] scope active on this thread?
+pub fn is_capturing() -> bool {
+    LOCAL.with(|l| l.borrow().is_some())
+}
+
+/// The counters and histograms a closure emitted under [`capture_carry`],
+/// waiting to be [`fold`](Carry::fold)ed into another thread's registry.
+#[derive(Debug)]
+pub struct Carry {
+    counters: BTreeMap<&'static str, u64>,
+    hists: BTreeMap<&'static str, hist::Hist>,
+}
+
+/// [`capture`] for a helper thread working on behalf of a capturing
+/// caller (a pool worker): returns only the counters and histograms, which
+/// the caller folds into its own registry with [`Carry::fold`]. Spans and
+/// gauges are dropped with the helper's registry: span paths are
+/// per-thread stacks and would not nest under the caller's.
+pub fn capture_carry<T>(f: impl FnOnce() -> T) -> (T, Carry) {
+    let (out, reg) = capture_registry(f);
+    let carry = Carry {
+        counters: reg.counters,
+        hists: reg.hists,
+    };
+    (out, carry)
+}
+
+impl Carry {
+    /// Add the carried counters and histograms into this thread's active
+    /// [`capture`] (a no-op without one). Counters add and histograms
+    /// merge bucket-wise, so folding order cannot change the result.
+    pub fn fold(self) {
+        LOCAL.with(|l| {
+            let mut local = l.borrow_mut();
+            let Some(reg) = local.as_mut() else { return };
+            for (name, v) in self.counters {
+                *reg.counters.entry(name).or_insert(0) += v;
+            }
+            for (name, h) in &self.hists {
+                reg.hists.entry(name).or_default().merge(h);
+            }
+        });
+    }
 }
 
 /// [`capture`] with probes forced live for the closure's duration — the

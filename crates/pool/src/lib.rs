@@ -34,6 +34,15 @@
 //! oversubscription; by the determinism contract the results are
 //! unchanged either way.
 //!
+//! ## Telemetry
+//!
+//! When the calling thread has an active `obs::capture`, each spawned
+//! worker runs under `obs::capture_carry` and its counters and histograms
+//! are folded into the caller's capture after the join — a captured
+//! region reports the same counters at any thread count. Spans and gauges
+//! are not folded. With no active capture, worker probes go to the global
+//! registry as before.
+//!
 //! ## Panics
 //!
 //! A panicking worker poisons the pool (surviving workers stop claiming
@@ -194,6 +203,9 @@ where
     // expire exactly as they would inline and degradations land in the
     // job's own sink.
     let job = prebond3d_resilience::job::current();
+    // Workers have no capture registry of their own; a capturing caller
+    // gets their counters folded back in after the join.
+    let carry = prebond3d_obs::is_capturing();
 
     std::thread::scope(|s| {
         // RAII worker marker: cleared even when `work` unwinds, so the
@@ -244,34 +256,42 @@ where
                         // one fast worker drains all the chunks.
                         trace::set_thread_name(&format!("pool worker {w}"));
                     }
-                    let mut state = init();
-                    let mut idle_from = measured.then(Instant::now);
-                    loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        if c >= nchunks || poisoned.load(Ordering::Relaxed) {
-                            break;
+                    let run = || {
+                        let mut state = init();
+                        let mut idle_from = measured.then(Instant::now);
+                        loop {
+                            let c = next.fetch_add(1, Ordering::Relaxed);
+                            if c >= nchunks || poisoned.load(Ordering::Relaxed) {
+                                break;
+                            }
+                            chaos::maybe_panic("pool.worker");
+                            if let Some(idle) = idle_from {
+                                let wait_ns = idle.elapsed().as_nanos() as u64;
+                                CHUNK_WAIT.lock().unwrap().record(wait_ns);
+                            }
+                            let lo = c * chunk;
+                            let t0 = traced.then(Instant::now);
+                            let r = work(&mut state, lo..(lo + chunk).min(n));
+                            if let Some(t0) = t0 {
+                                trace::complete(
+                                    "pool",
+                                    "chunk",
+                                    t0,
+                                    t0.elapsed().as_nanos(),
+                                    Some(("chunk", c.into())),
+                                );
+                            }
+                            results.lock().unwrap().push((c, r));
+                            if measured {
+                                idle_from = Some(Instant::now());
+                            }
                         }
-                        chaos::maybe_panic("pool.worker");
-                        if let Some(idle) = idle_from {
-                            let wait_ns = idle.elapsed().as_nanos() as u64;
-                            CHUNK_WAIT.lock().unwrap().record(wait_ns);
-                        }
-                        let lo = c * chunk;
-                        let t0 = traced.then(Instant::now);
-                        let r = work(&mut state, lo..(lo + chunk).min(n));
-                        if let Some(t0) = t0 {
-                            trace::complete(
-                                "pool",
-                                "chunk",
-                                t0,
-                                t0.elapsed().as_nanos(),
-                                Some(("chunk", c.into())),
-                            );
-                        }
-                        results.lock().unwrap().push((c, r));
-                        if measured {
-                            idle_from = Some(Instant::now());
-                        }
+                    };
+                    if carry {
+                        Some(prebond3d_obs::capture_carry(run).1)
+                    } else {
+                        run();
+                        None
                     }
                 })
             })
@@ -280,9 +300,12 @@ where
         // caller instead of aborting inside the scope's implicit join.
         let mut panic = None;
         for h in handles {
-            if let Err(p) = h.join() {
-                poisoned.store(true, Ordering::Relaxed);
-                panic.get_or_insert(p);
+            match h.join() {
+                Ok(carried) => carried.into_iter().for_each(prebond3d_obs::Carry::fold),
+                Err(p) => {
+                    poisoned.store(true, Ordering::Relaxed);
+                    panic.get_or_insert(p);
+                }
             }
         }
         if let Some(p) = panic {
@@ -415,6 +438,14 @@ mod tests {
             "workers must report 1 thread"
         );
         assert!(!is_worker(), "caller is not a worker after the call");
+    }
+
+    #[test]
+    fn worker_counters_fold_into_the_callers_capture() {
+        let (_, snap) = prebond3d_obs::capture_recorded(|| {
+            with_threads(4, || par_range_map(64, |_| prebond3d_obs::count("x", 1)))
+        });
+        assert_eq!(snap.counter("x"), 64);
     }
 
     #[test]

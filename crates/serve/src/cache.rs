@@ -16,7 +16,7 @@
 //! cache-lifetime gap PR 7 closes).
 //!
 //! Eviction is least-recently-used under a **byte budget**
-//! (`PREBOND3D_SERVE_CACHE_BYTES`, default 64 MiB). Sizes are coarse
+//! (`--cache-bytes`, default 64 MiB). Sizes are coarse
 //! estimates (`approx_bytes`) re-weighed after every job, because a warm
 //! probe's memo table grows while it serves; the invariant the soak suite
 //! asserts is `bytes <= budget` after every insert/re-weigh, with entries
@@ -31,7 +31,7 @@ use prebond3d_obs as obs;
 use prebond3d_place::Placement;
 use prebond3d_wcm::testability::AtpgProbe;
 
-/// Default byte budget when `PREBOND3D_SERVE_CACHE_BYTES` is unset.
+/// Default byte budget (`--cache-bytes` overrides it).
 pub const DEFAULT_BUDGET_BYTES: usize = 64 * 1024 * 1024;
 
 /// Coarse per-gate estimate for a resident netlist (gate record, fanout
@@ -111,21 +111,6 @@ impl WarmCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// The budget from `PREBOND3D_SERVE_CACHE_BYTES`, defaulting to
-    /// [`DEFAULT_BUDGET_BYTES`]. Unparsable values warn and fall back.
-    pub fn budget_from_env() -> usize {
-        match std::env::var("PREBOND3D_SERVE_CACHE_BYTES") {
-            Err(_) => DEFAULT_BUDGET_BYTES,
-            Ok(v) => v.trim().parse().unwrap_or_else(|_| {
-                eprintln!(
-                    "[serve] unparsable PREBOND3D_SERVE_CACHE_BYTES `{v}`; \
-                     using default {DEFAULT_BUDGET_BYTES}"
-                );
-                DEFAULT_BUDGET_BYTES
-            }),
         }
     }
 

@@ -59,20 +59,22 @@ pub struct ServerConfig {
     /// Executor workers (concurrent jobs). Defaults to the pool's thread
     /// resolution, floored at 2 so one slow job cannot starve the queue.
     pub workers: usize,
-    /// Warm-cache byte budget.
+    /// Warm-cache byte budget (default [`cache::DEFAULT_BUDGET_BYTES`]).
     pub cache_bytes: usize,
     /// Write-ahead job journal path (DESIGN.md §15). `None` disables
     /// durability: no recovery, no exactly-once dedup.
     pub journal: Option<PathBuf>,
     /// Admission cap on *queued* (not running) jobs; a submit arriving at
-    /// a full queue is shed with a `retry_after` frame.
+    /// a full queue is shed with a `retry_after` frame. Default 256.
     pub max_queue: usize,
     /// Byte budget for queued job payloads (inline netlists dominate). A
     /// single job is always admitted into an empty queue regardless.
+    /// Default 32 MiB.
     pub queue_bytes: usize,
     /// Per-connection write timeout. A client that stops reading for this
     /// long has its frames dropped (the job still runs to completion and
     /// is journaled) instead of pinning the connection thread forever.
+    /// Default 10 s; `0` disables.
     pub write_timeout_ms: u64,
     /// Start with the queue held: submits are accepted (and journaled)
     /// but no worker dequeues until a `resume` op or [`Server::resume`].
@@ -85,46 +87,15 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             bind: Bind::Tcp("127.0.0.1:0".to_string()),
-            workers: default_workers(),
-            cache_bytes: WarmCache::budget_from_env(),
+            workers: prebond3d_pool::threads().max(2),
+            cache_bytes: cache::DEFAULT_BUDGET_BYTES,
             journal: None,
-            max_queue: default_max_queue(),
-            queue_bytes: default_queue_bytes(),
-            write_timeout_ms: default_write_timeout_ms(),
+            max_queue: 256,
+            queue_bytes: 32 << 20,
+            write_timeout_ms: 10_000,
             paused: false,
         }
     }
-}
-
-/// `PREBOND3D_SERVE_WORKERS`, else the pool thread count, floored at 2.
-pub fn default_workers() -> usize {
-    std::env::var("PREBOND3D_SERVE_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| prebond3d_pool::threads().max(2))
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
-/// `PREBOND3D_SERVE_MAX_QUEUE`, default 256 queued jobs.
-pub fn default_max_queue() -> usize {
-    env_usize("PREBOND3D_SERVE_MAX_QUEUE", 256)
-}
-
-/// `PREBOND3D_SERVE_QUEUE_BYTES`, default 32 MiB of queued payload.
-pub fn default_queue_bytes() -> usize {
-    env_usize("PREBOND3D_SERVE_QUEUE_BYTES", 32 << 20)
-}
-
-/// `PREBOND3D_SERVE_WRITE_TIMEOUT_MS`, default 10 s; `0` disables.
-pub fn default_write_timeout_ms() -> u64 {
-    env_usize("PREBOND3D_SERVE_WRITE_TIMEOUT_MS", 10_000) as u64
 }
 
 /// Monotonic job accounting, exported by the `stats` op.

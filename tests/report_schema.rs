@@ -117,19 +117,3 @@ fn report_files_match_the_golden_schemas() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-/// The serving benchmark report (`results/BENCH_serve.json`, written by
-/// `prebond3d-loadgen`) has its own shape — jobs/cache/latency blocks
-/// instead of per-die sections. Its schema is pinned from the checked-in
-/// CI baseline, so regenerating the baseline with a drifted loadgen
-/// fails here before obs-diff ever sees it.
-#[test]
-fn serve_baseline_matches_the_golden_schema() {
-    let schema = schema_of(include_str!("../results/BENCH_serve.json"));
-    assert_matches_golden(
-        &schema,
-        include_str!("golden/serve_report.schema.txt"),
-        "BENCH_serve.json",
-        "golden/serve_report.schema.txt",
-    );
-}

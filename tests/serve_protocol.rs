@@ -3,8 +3,6 @@
 //! every abuse gets a well-formed `error` frame (or is absorbed), and
 //! the connection/daemon keeps serving afterwards.
 
-// Shared across the serve suites; each binary uses a different subset.
-#[allow(dead_code)]
 #[path = "serve_util/mod.rs"]
 mod serve_util;
 

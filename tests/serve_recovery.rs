@@ -174,27 +174,65 @@ fn duplicate_submit_replays_from_the_journal() {
     let _ = std::fs::remove_file(&journal);
 }
 
-/// A full queue answers `retry_after`, not silence and not an error.
+/// A full queue answers `retry_after`, not silence and not an error, and
+/// a client that backs off for the hinted time is admitted once the
+/// queue drains.
 #[test]
 fn full_queue_sheds_with_a_retry_after_frame() {
     let (server, addr) = start_with(ServerConfig {
         workers: 1,
-        max_queue: 0,
+        max_queue: 1,
+        paused: true,
         ..test_config()
     });
-    let mut client = Client::connect(&addr);
-    let frame = client.request(&submit_line("shed", 0, "ours"));
-    assert_eq!(field(&frame, "ev"), "retry_after");
-    assert_eq!(frame.get("ok").and_then(Value::as_bool), Some(false));
-    let ms = frame
-        .get("retry_after_ms")
-        .and_then(Value::as_u64)
-        .expect("retry_after frame carries retry_after_ms");
-    assert!(ms > 0, "backoff hint must be positive");
-    let stats = client.request(r#"{"op":"stats"}"#);
+    // One held job fills the only queue slot.
+    let mut holder = Client::connect(&addr);
+    holder.send_line(&submit_line("held", 0, "ours"));
+    assert_eq!(field(&holder.read_frame(), "ev"), "accepted");
+
+    let mut shed = Vec::new();
+    for i in 0..3 {
+        let line = submit_line(&format!("shed-{i}"), 0, "agrawal");
+        let mut client = Client::connect(&addr);
+        let frame = client.request(&line);
+        assert_eq!(field(&frame, "ev"), "retry_after", "{frame}");
+        assert_eq!(frame.get("ok").and_then(Value::as_bool), Some(false));
+        let ms = frame
+            .get("retry_after_ms")
+            .and_then(Value::as_u64)
+            .expect("retry_after frame carries retry_after_ms");
+        assert!(ms > 0, "backoff hint must be positive");
+        shed.push((client, line, ms));
+    }
+
+    // Release the queue and let the held job drain.
+    let mut control = Client::connect(&addr);
     assert_eq!(
-        stats.get("queue").and_then(|q| q.get("shed")).and_then(Value::as_u64),
-        Some(1)
+        field(&control.request(r#"{"op":"resume"}"#), "ev"),
+        "resumed"
+    );
+    loop {
+        let frame = holder.read_frame();
+        if field(&frame, "ev") == "done" {
+            assert_eq!(frame.get("code").and_then(Value::as_u64), Some(0));
+            break;
+        }
+    }
+
+    // Back off as hinted, then resubmit: admitted and completed.
+    let (mut client, line, ms) = shed.swap_remove(0);
+    std::thread::sleep(std::time::Duration::from_millis(ms));
+    let done = client.submit(&line);
+    assert_eq!(done.get("code").and_then(Value::as_u64), Some(0), "{done}");
+
+    let stats = control.request(r#"{"op":"stats"}"#);
+    assert_eq!(
+        stats
+            .get("queue")
+            .and_then(|q| q.get("shed"))
+            .and_then(Value::as_u64),
+        Some(3),
+        "{stats}"
     );
     stop(server);
 }

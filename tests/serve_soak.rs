@@ -7,8 +7,6 @@
 //!
 //! Run with `cargo test --test serve_soak -- --ignored`.
 
-// Shared across the serve suites; each binary uses a different subset.
-#[allow(dead_code)]
 #[path = "serve_util/mod.rs"]
 mod serve_util;
 
