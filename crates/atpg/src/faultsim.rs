@@ -96,10 +96,10 @@ static LANE_SLOTS_CAPACITY: AtomicU64 = AtomicU64::new(0);
 
 fn record_lane_fill(patterns: usize, width: usize) {
     let used = LANE_SLOTS_USED.fetch_add(patterns as u64, Ordering::Relaxed) + patterns as u64;
-    let cap = LANE_SLOTS_CAPACITY.fetch_add(width as u64 * 64, Ordering::Relaxed)
-        + width as u64 * 64;
-    if cap > 0 {
-        prebond3d_obs::gauge("atpg.lane_fill_pct", used * 100 / cap);
+    let cap =
+        LANE_SLOTS_CAPACITY.fetch_add(width as u64 * 64, Ordering::Relaxed) + width as u64 * 64;
+    if let Some(pct) = (used * 100).checked_div(cap) {
+        prebond3d_obs::gauge("atpg.lane_fill_pct", pct);
     }
 }
 
@@ -154,7 +154,8 @@ impl FaultSimulator {
                 capacity: 64,
             });
         }
-        let (_, masks) = self.dispatch(netlist, access, patterns, faults, alive, NeedSpec::Exact)?;
+        let (_, masks) =
+            self.dispatch(netlist, access, patterns, faults, alive, NeedSpec::Exact)?;
         Ok(masks)
     }
 
@@ -270,17 +271,23 @@ impl FaultSimulator {
         } = self;
         match blocks {
             0 | 1 => {
-                batch_masks::<1>(sim, overlay1, masks, netlist, access, patterns, faults, alive, spec)?;
+                batch_masks::<1>(
+                    sim, overlay1, masks, netlist, access, patterns, faults, alive, spec,
+                )?;
                 Ok((1, &*masks))
             }
             2..=4 => {
                 let overlay = overlay4.get_or_insert_with(|| Overlay::new(netlist.len()));
-                batch_masks::<4>(sim, overlay, masks, netlist, access, patterns, faults, alive, spec)?;
+                batch_masks::<4>(
+                    sim, overlay, masks, netlist, access, patterns, faults, alive, spec,
+                )?;
                 Ok((4, &*masks))
             }
             5..=8 => {
                 let overlay = overlay8.get_or_insert_with(|| Overlay::new(netlist.len()));
-                batch_masks::<8>(sim, overlay, masks, netlist, access, patterns, faults, alive, spec)?;
+                batch_masks::<8>(
+                    sim, overlay, masks, netlist, access, patterns, faults, alive, spec,
+                )?;
                 Ok((8, &*masks))
             }
             _ => Err(SimError::TooManyPatterns {
@@ -344,8 +351,7 @@ fn batch_masks<const W: usize>(
         used,
     };
     let threads = pool::threads();
-    let evals: u64;
-    if threads <= 1 || faults.len() < PAR_FAULT_THRESHOLD {
+    let evals = if threads <= 1 || faults.len() < PAR_FAULT_THRESHOLD {
         out.clear();
         out.resize(faults.len() * W, 0);
         let mut tally = 0u64;
@@ -356,7 +362,7 @@ fn batch_masks<const W: usize>(
                 tally += e;
             }
         }
-        evals = tally;
+        tally
     } else {
         prebond3d_obs::count("atpg.faultsim_parallel_batches", 1);
         let ctx = &ctx;
@@ -392,8 +398,8 @@ fn batch_masks<const W: usize>(
             out.extend_from_slice(&chunk_masks);
             tally += chunk_evals;
         }
-        evals = tally;
-    }
+        tally
+    };
     prebond3d_obs::count("atpg.gate_evals", evals);
     if let Some(t0) = batch_t0 {
         prebond3d_obs::hist("atpg.faultsim_batch_ns", t0.elapsed().as_nanos() as u64);
@@ -431,7 +437,11 @@ fn simulate_one<const W: usize>(
         overlay.stamp.iter_mut().for_each(|s| *s = 0);
         overlay.epoch = 1;
     }
-    let stuck_word = if fault.stuck.value() { used } else { Lanes::ZERO };
+    let stuck_word = if fault.stuck.value() {
+        used
+    } else {
+        Lanes::ZERO
+    };
     let unk_tail = !used;
     let mut evals = 0u64;
 

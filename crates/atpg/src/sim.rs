@@ -80,8 +80,8 @@ impl<const W: usize> Not for Lanes<W> {
     #[inline]
     fn not(self) -> Self {
         let mut out = [0u64; W];
-        for l in 0..W {
-            out[l] = !self.0[l];
+        for (o, x) in out.iter_mut().zip(self.0) {
+            *o = !x;
         }
         Lanes(out)
     }
@@ -282,10 +282,7 @@ impl Simulator {
         patterns: &[Pattern],
     ) -> Result<Vec<Rail>, SimError> {
         let wide = self.run_batch_wide::<1>(netlist, access, patterns)?;
-        Ok(wide
-            .into_iter()
-            .map(|(v, u)| (v.0[0], u.0[0]))
-            .collect())
+        Ok(wide.into_iter().map(|(v, u)| (v.0[0], u.0[0])).collect())
     }
 
     /// Simulate up to `W * 64` patterns at once; returns dual-rail lane

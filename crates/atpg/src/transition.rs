@@ -133,9 +133,9 @@ pub fn simulate_sequence(
             })
             .collect();
         let need: Vec<u64> = init_masks.iter().map(|m| m << 1).collect();
-        let det_masks =
-            fs.simulate_batch_with_need(netlist, access, window, &launch, &window_alive, &need)
-                .expect("sequence window holds at most 64 patterns");
+        let det_masks = fs
+            .simulate_batch_with_need(netlist, access, window, &launch, &window_alive, &need)
+            .expect("sequence window holds at most 64 patterns");
         for (i, _) in faults.iter().enumerate() {
             if !window_alive[i] {
                 continue;

@@ -37,7 +37,6 @@ fn main() -> ExitCode {
             "{}",
             prebond3d_bench::fig7::render(&prebond3d_bench::fig7::run())
         );
-        prebond3d_bench::perf::record_fault_sim_speedup(&prebond3d_bench::circuit_names());
         Ok(())
     })
 }

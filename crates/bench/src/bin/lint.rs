@@ -10,8 +10,8 @@
 //!    timing-model sanity, post-insertion slack and mission-mode
 //!    co-simulation.
 //!
-//! Afterwards, every `run_*.json` / `BENCH_*.json` in the report
-//! directory is schema-checked. Findings print human-readably; the full
+//! Afterwards, every `run_*.json` in the report directory is
+//! schema-checked. Findings print human-readably; the full
 //! set is written to `results/lint_<exp>.json` (directory overridable via
 //! `PREBOND3D_REPORT_DIR`, experiment name via the first CLI argument,
 //! default `full`). `--sarif <path>` additionally writes the findings as
@@ -87,7 +87,7 @@ fn lint_reports_on_disk(dir: &PathBuf) -> Option<LintReport> {
     let mut found = false;
     for entry in entries.flatten() {
         let name = entry.file_name().to_string_lossy().into_owned();
-        if (name.starts_with("run_") || name.starts_with("BENCH_")) && name.ends_with(".json") {
+        if name.starts_with("run_") && name.ends_with(".json") {
             if let Ok(text) = std::fs::read_to_string(entry.path()) {
                 ctx = ctx.with_report(name, text);
                 found = true;

@@ -8,7 +8,6 @@ fn main() -> ExitCode {
     driver::run("table1", || {
         let rows = prebond3d_bench::table1::run(&AtpgConfig::thorough());
         print!("{}", prebond3d_bench::table1::render(&rows));
-        prebond3d_bench::perf::record_fault_sim_speedup(&["b12"]);
         Ok(())
     })
 }

@@ -7,7 +7,6 @@ fn main() -> ExitCode {
     driver::run("table3", || {
         let rows = prebond3d_bench::table3::run();
         print!("{}", prebond3d_bench::table3::render(&rows));
-        prebond3d_bench::perf::record_fault_sim_speedup(&prebond3d_bench::circuit_names());
         Ok(())
     })
 }

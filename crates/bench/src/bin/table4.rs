@@ -8,7 +8,6 @@ fn main() -> ExitCode {
     driver::run("table4", || {
         let rows = prebond3d_bench::table4::run(&AtpgConfig::thorough());
         print!("{}", prebond3d_bench::table4::render(&rows));
-        prebond3d_bench::perf::record_fault_sim_speedup(&prebond3d_bench::circuit_names());
         Ok(())
     })
 }

@@ -8,7 +8,6 @@ fn main() -> ExitCode {
     driver::run("table5", || {
         let rows = prebond3d_bench::table5::run(&AtpgConfig::thorough());
         print!("{}", prebond3d_bench::table5::render(&rows));
-        prebond3d_bench::perf::record_fault_sim_speedup(&prebond3d_bench::circuit_names());
         Ok(())
     })
 }

@@ -14,8 +14,6 @@ pub mod context;
 pub mod driver;
 pub mod fig7;
 pub mod lintflow;
-pub mod obsdiff;
-pub mod perf;
 pub mod report;
 pub mod table1;
 pub mod table2;

@@ -8,16 +8,14 @@
 //! in wrapper wiring or TSV coverage aborts the experiment instead of
 //! silently skewing a table.
 //!
-//! Two deliberate relaxations:
-//!
-//! * configurations that are *expected* to violate timing — the whole
-//!   area-optimized scenario (it sets `s_th = −∞` and makes no timing
-//!   promise; Table III reports its violations), the Agrawal and Li
-//!   baselines under tight timing, and any ablation that forces an
-//!   ordering or overlap policy — get `P3404` allow-listed: their
-//!   violations are the paper's Table III/V result, not a bug;
-//! * setting `PREBOND3D_LINT=0` (or `off`) disables the gate entirely,
-//!   for timing-sensitive perf runs.
+//! One deliberate relaxation: configurations that are *expected* to
+//! violate timing — the whole area-optimized scenario (it sets
+//! `s_th = −∞` and makes no timing promise; Table III reports its
+//! violations), the Agrawal and Li baselines under tight timing, and any
+//! ablation that forces an ordering or overlap policy — get `P3404`
+//! allow-listed: their violations are the paper's Table III/V result, not
+//! a bug. Wall-clock measurements that should not pay for the gate call
+//! [`run_flow`] directly.
 
 use prebond3d_celllib::Library;
 use prebond3d_lint::diagnostic::NEGATIVE_POST_SLACK;
@@ -27,14 +25,6 @@ use prebond3d_netlist::Netlist;
 use prebond3d_place::Placement;
 use prebond3d_wcm::flow::{run_flow, FlowConfig, FlowError, Method, Scenario};
 use prebond3d_wcm::FlowResult;
-
-/// Whether the lint gate is active (`PREBOND3D_LINT`, default on).
-pub fn enabled() -> bool {
-    match std::env::var("PREBOND3D_LINT") {
-        Ok(v) => !matches!(v.trim(), "0" | "off" | "false" | "no"),
-        Err(_) => true,
-    }
-}
 
 /// `true` when `config` is a cell the paper itself reports as violating
 /// (the timing-blind area scenario, baselines under tight timing,
@@ -79,8 +69,8 @@ pub fn lint_result(
 /// # Errors
 ///
 /// Propagates `run_flow` failures; additionally fails when the lint gate
-/// is enabled and finds an Error-severity diagnostic, with the rendered
-/// report as the error message.
+/// finds an Error-severity diagnostic, with the rendered report as the
+/// error message.
 pub fn checked_run_flow(
     label: &str,
     netlist: &Netlist,
@@ -89,14 +79,12 @@ pub fn checked_run_flow(
     config: &FlowConfig,
 ) -> Result<FlowResult, FlowError> {
     let result = run_flow(netlist, placement, library, config)?;
-    if enabled() {
-        let report = lint_result(label, netlist, &result, library, config, Depth::Quick);
-        if report.has_errors() {
-            return Err(FlowError::LintGate {
-                label: format!("{label} ({} {:?})", config.method.label(), config.scenario),
-                report: report.render(),
-            });
-        }
+    let report = lint_result(label, netlist, &result, library, config, Depth::Quick);
+    if report.has_errors() {
+        return Err(FlowError::LintGate {
+            label: format!("{label} ({} {:?})", config.method.label(), config.scenario),
+            report: report.render(),
+        });
     }
     Ok(result)
 }

@@ -1,5 +1,4 @@
-//! Machine-readable run reports, checkpoint/resume and the perf
-//! trajectory.
+//! Machine-readable run reports and checkpoint/resume.
 //!
 //! Every experiment binary wraps its work in [`begin`]/[`finish`] (via
 //! [`crate::driver::run`]); the table modules bracket each die's work
@@ -9,11 +8,10 @@
 //! `results/run_<experiment>.json` per invocation, holding per-die phase
 //! timings (the `flow/...` span tree), the algorithm counters the text
 //! tables do not show, the chaos/degradation/failed-unit records from
-//! `prebond3d-resilience` — plus one `BENCH_<experiment>.json` with the
-//! aggregated wall-time-per-phase breakdown, the thread count, and any
-//! serial-vs-parallel speedup measurements recorded via
-//! [`record_speedup`]. Both files are written atomically (temp file +
-//! rename), so a `SIGKILL` mid-write never leaves a torn report.
+//! `prebond3d-resilience`, the per-phase wall-time histograms, memory
+//! and pool telemetry and the thread count. It is the only report an
+//! experiment writes, and it is written atomically (temp file + rename),
+//! so a `SIGKILL` mid-write never leaves a torn report.
 //!
 //! The collector forces `prebond3d-obs` recording on for the duration of
 //! the run, independent of the `PREBOND3D_OBS` sink — so reports are
@@ -77,8 +75,6 @@ struct Collector {
     experiment: String,
     started: Instant,
     sections: Vec<Value>,
-    /// `span path → (completions, total ms)` aggregated across sections.
-    phase_ms: BTreeMap<String, (u64, f64)>,
     /// `span path → histogram of per-section wall times (ns)` — one sample
     /// per section containing the span, so the sample *counts* are
     /// thread-invariant while the values are wall-clock (and zeroed under
@@ -86,10 +82,6 @@ struct Collector {
     phase_hists: BTreeMap<String, obs::hist::Hist>,
     /// Peak of the per-section-boundary RSS samples, in kB.
     rss_kb: obs::hist::Hist,
-    /// Speedup records from [`record_speedup`].
-    speedups: Vec<Value>,
-    /// Deterministic work-counter records from [`record_work`].
-    work: Vec<Value>,
     /// Failed-unit records from [`record_failure`].
     failures: Vec<Value>,
     checkpoint: Checkpoint,
@@ -150,11 +142,8 @@ pub fn begin(experiment: &str) {
         experiment: experiment.to_string(),
         started: Instant::now(),
         sections: Vec::new(),
-        phase_ms: BTreeMap::new(),
         phase_hists: BTreeMap::new(),
         rss_kb: obs::hist::Hist::new(),
-        speedups: Vec::new(),
-        work: Vec::new(),
         failures: Vec::new(),
         checkpoint: Checkpoint {
             path,
@@ -183,23 +172,19 @@ fn section_value(label: &str, elapsed_ms: f64, snap: &obs::Snapshot) -> Value {
 }
 
 /// Push a section payload and fold its spans into the collector's phase
-/// aggregation. Fresh and checkpoint-replayed sections go through this
+/// histograms. Fresh and checkpoint-replayed sections go through this
 /// same path, so a resumed run aggregates exactly like an uninterrupted
 /// one.
 fn push_section_value(section: Value) {
     if let Some(c) = COLLECTOR.lock().unwrap().as_mut() {
         if let Some(Value::Arr(spans)) = section.get("spans") {
             for s in spans {
-                let (Some(path), Some(count), Some(ms)) = (
+                let (Some(path), Some(ms)) = (
                     s.get("path").and_then(Value::as_str),
-                    s.get("count").and_then(Value::as_u64),
                     s.get("ms").and_then(Value::as_f64),
                 ) else {
                     continue;
                 };
-                let e = c.phase_ms.entry(path.to_string()).or_insert((0, 0.0));
-                e.0 += count;
-                e.1 += ms;
                 // One latency sample per section: the per-die wall-time
                 // distribution of this phase.
                 c.phase_hists
@@ -448,73 +433,6 @@ fn checkpoint_append(entry: &Value) {
     }
 }
 
-/// Record one serial-vs-parallel wall-clock measurement (written to
-/// `BENCH_<experiment>.json`). A no-op when no collector is active.
-pub fn record_speedup(
-    phase: &str,
-    substrate: &str,
-    threads: usize,
-    serial_ms: f64,
-    parallel_ms: f64,
-) {
-    let speedup = if parallel_ms > 0.0 {
-        serial_ms / parallel_ms
-    } else {
-        0.0
-    };
-    eprintln!(
-        "perf: {phase} on {substrate}: {serial_ms:.1} ms serial, \
-         {parallel_ms:.1} ms at {threads} threads ({speedup:.2}x)"
-    );
-    if let Some(c) = COLLECTOR.lock().unwrap().as_mut() {
-        c.speedups.push(Value::obj([
-            ("phase", phase.into()),
-            ("substrate", substrate.into()),
-            ("threads", threads.into()),
-            ("serial_ms", serial_ms.into()),
-            ("parallel_ms", parallel_ms.into()),
-            ("speedup", speedup.into()),
-        ]));
-    }
-}
-
-/// Record one deterministic work-counter measurement (written to the
-/// `work` array of `BENCH_<experiment>.json`). `optimized` is the count
-/// the production code path does; `reference`, when the probe has one,
-/// is the count of a direct reference implementation of the same work
-/// (e.g. the single-lane fault simulator), and adds `reference` and
-/// `reduction` fields to the row. Work counters are machine-independent,
-/// so — unlike the wall-clock speedups — they are **not** zeroed under
-/// `PREBOND3D_STABLE_MS` and can be regression-gated in CI. A no-op when
-/// no collector is active.
-pub fn record_work(counter: &str, substrate: &str, reference: Option<u64>, optimized: u64) {
-    let mut row = vec![
-        ("counter", counter.into()),
-        ("substrate", substrate.into()),
-        ("optimized", optimized.into()),
-    ];
-    match reference {
-        Some(reference) => {
-            let reduction = if reference > 0 {
-                1.0 - optimized as f64 / reference as f64
-            } else {
-                0.0
-            };
-            eprintln!(
-                "perf: {counter} on {substrate}: {reference} reference vs {optimized} optimized \
-                 ({:.1}% less work)",
-                reduction * 100.0
-            );
-            row.push(("reference", reference.into()));
-            row.push(("reduction", reduction.into()));
-        }
-        None => eprintln!("perf: {counter} on {substrate}: {optimized}"),
-    }
-    if let Some(c) = COLLECTOR.lock().unwrap().as_mut() {
-        c.work.push(Value::obj(row));
-    }
-}
-
 pub(crate) fn report_dir() -> PathBuf {
     std::env::var("PREBOND3D_REPORT_DIR").map_or_else(|_| PathBuf::from("results"), PathBuf::from)
 }
@@ -536,12 +454,11 @@ fn write_report(path: &std::path::Path, doc: &Value) -> bool {
 }
 
 /// Zero every environment-dependent field in `doc` — wall clocks (`ms`,
-/// `elapsed_ms`, `serial_ms`, `parallel_ms`, the derived `speedup` ratio),
-/// the `threads` count, any `*_ns` latency field, the memory-telemetry
-/// fields, and the *value* summary of every histogram object (`sum`,
-/// `max`, quantiles — the sample `count` is deterministic and survives) —
-/// the `PREBOND3D_STABLE_MS` normalization that makes reports
-/// byte-comparable across runs and thread counts.
+/// `elapsed_ms`), the `threads` count, any `*_ns` latency field, the
+/// memory-telemetry fields, and the *value* summary of every histogram
+/// object (`sum`, `max`, quantiles — the sample `count` is deterministic
+/// and survives) — the `PREBOND3D_STABLE_MS` normalization that makes
+/// reports byte-comparable across runs and thread counts.
 pub(crate) fn zero_ms(v: &mut Value) {
     match v {
         Value::Obj(map) => {
@@ -554,10 +471,6 @@ pub(crate) fn zero_ms(v: &mut Value) {
                 let is_clock = matches!(
                     k.as_str(),
                     "ms" | "elapsed_ms"
-                        | "serial_ms"
-                        | "parallel_ms"
-                        | "speedup"
-                        | "jobs_per_sec"
                         | "threads"
                         | "alloc_bytes_total"
                         | "alloc_bytes_peak"
@@ -588,9 +501,8 @@ pub struct Summary {
     pub resume_skipped: u64,
 }
 
-/// Finish the report: write `results/run_<experiment>.json` and
-/// `results/BENCH_<experiment>.json` (directory overridable via
-/// `PREBOND3D_REPORT_DIR`) and return the run report's path. `None` when
+/// Finish the report: write `results/run_<experiment>.json` (directory
+/// overridable via `PREBOND3D_REPORT_DIR`) and return its path. `None` when
 /// no collector is active. See [`finish_summary`] for the exit-code
 /// driving variant.
 pub fn finish() -> Option<PathBuf> {
@@ -668,32 +580,6 @@ pub fn finish_summary() -> Summary {
             .collect(),
     );
 
-    let mut run_doc = Value::obj([
-        ("experiment", collector.experiment.as_str().into()),
-        ("elapsed_ms", elapsed_ms.into()),
-        ("sections", Value::Arr(collector.sections)),
-        ("hists", hists),
-        ("mem", mem.clone()),
-        ("failures", Value::Arr(collector.failures)),
-        ("degradations", Value::Arr(degradations)),
-        ("chaos", Value::obj(chaos_fields)),
-    ]);
-    let phases: Vec<Value> = collector
-        .phase_ms
-        .iter()
-        .map(|(path, &(count, ms))| {
-            let h = collector.phase_hists.get(path);
-            Value::obj([
-                ("path", path.as_str().into()),
-                ("count", count.into()),
-                ("ms", ms.into()),
-                ("p50_ns", h.map_or(0, |h| h.quantile(0.50)).into()),
-                ("p95_ns", h.map_or(0, |h| h.quantile(0.95)).into()),
-                ("p99_ns", h.map_or(0, |h| h.quantile(0.99)).into()),
-                ("max_ns", h.map_or(0, obs::hist::Hist::max).into()),
-            ])
-        })
-        .collect();
     // Worker idle-gap telemetry from the pool. Chunk counts depend on the
     // thread configuration, so under stable-ms the whole histogram —
     // including its count — is replaced by an empty one.
@@ -703,29 +589,28 @@ pub fn finish_summary() -> Summary {
     } else {
         chunk_wait
     };
-    let mut bench_doc = Value::obj([
+
+    let mut run_doc = Value::obj([
         ("experiment", collector.experiment.as_str().into()),
         ("threads", pool::threads().into()),
         ("elapsed_ms", elapsed_ms.into()),
-        ("phases", Value::Arr(phases)),
-        ("pool", Value::obj([("chunk_wait", chunk_wait.to_json())])),
+        ("sections", Value::Arr(collector.sections)),
+        ("hists", hists),
         ("mem", mem),
-        ("speedup", Value::Arr(collector.speedups)),
-        ("work", Value::Arr(collector.work)),
+        ("pool", Value::obj([("chunk_wait", chunk_wait.to_json())])),
+        ("failures", Value::Arr(collector.failures)),
+        ("degradations", Value::Arr(degradations)),
+        ("chaos", Value::obj(chaos_fields)),
     ]);
     if resil::stable_ms() {
         zero_ms(&mut run_doc);
-        zero_ms(&mut bench_doc);
     }
-    // A traced run flushes its timeline alongside the reports, so a
+    // A traced run flushes its timeline alongside the report, so a
     // normally-completed experiment leaves a complete trace file without
     // relying on the panic hook.
     obs::trace::flush();
 
-    let dir = report_dir();
-    let bench_path = dir.join(format!("BENCH_{}.json", collector.experiment));
-    write_report(&bench_path, &bench_doc);
-    let run_path = dir.join(format!("run_{}.json", collector.experiment));
+    let run_path = report_dir().join(format!("run_{}.json", collector.experiment));
     let run_path = write_report(&run_path, &run_doc).then_some(run_path);
     if failures == 0 {
         // The sweep is complete; a later fresh run must not resume it.
@@ -871,56 +756,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn bench_report_carries_phases_and_speedups() {
-        let _l = LOCK.lock().unwrap();
-        let dir = temp_report_dir("bench");
-        std::env::set_var("PREBOND3D_REPORT_DIR", &dir);
-
-        begin("unit_bench");
-        die_scope("die0", || {
-            let _s = obs::span("phase_a");
-        });
-        die_scope("die1", || {
-            let _s = obs::span("phase_a");
-        });
-        record_speedup("fault_simulation", "b12_die0", 4, 100.0, 40.0);
-        record_work("atpg.gate_evals", "b12_die0", Some(1000), 400);
-        record_work("probe.cache_hits", "b12_die0", None, 6);
-        let run_path = finish().expect("report written");
-        std::env::remove_var("PREBOND3D_REPORT_DIR");
-
-        let bench_path = run_path.with_file_name("BENCH_unit_bench.json");
-        let doc = prebond3d_obs::json::parse(&std::fs::read_to_string(&bench_path).unwrap())
-            .expect("valid JSON");
-        assert_eq!(doc.get("experiment").unwrap().as_str(), Some("unit_bench"));
-        assert!(doc.get("threads").unwrap().as_u64().unwrap() >= 1);
-        let phases = doc.get("phases").unwrap().as_arr().unwrap();
-        let pa = phases
-            .iter()
-            .find(|p| p.get("path").unwrap().as_str() == Some("phase_a"))
-            .expect("phase_a aggregated");
-        assert_eq!(pa.get("count").unwrap().as_u64(), Some(2));
-        let speedups = doc.get("speedup").unwrap().as_arr().unwrap();
-        assert_eq!(speedups.len(), 1);
-        let s = &speedups[0];
-        assert_eq!(s.get("phase").unwrap().as_str(), Some("fault_simulation"));
-        assert_eq!(s.get("speedup").unwrap().as_u64(), None); // 2.5 is not integral
-        assert!((s.get("speedup").unwrap().as_f64().unwrap() - 2.5).abs() < 1e-9);
-        let work = doc.get("work").unwrap().as_arr().unwrap();
-        assert_eq!(work.len(), 2);
-        let w = &work[0];
-        assert_eq!(w.get("counter").unwrap().as_str(), Some("atpg.gate_evals"));
-        assert_eq!(w.get("reference").unwrap().as_u64(), Some(1000));
-        assert_eq!(w.get("optimized").unwrap().as_u64(), Some(400));
-        assert!((w.get("reduction").unwrap().as_f64().unwrap() - 0.6).abs() < 1e-9);
-        // A row without a reference records the optimized count only.
-        let w = &work[1];
-        assert_eq!(w.get("optimized").unwrap().as_u64(), Some(6));
-        assert!(w.get("reference").is_none() && w.get("reduction").is_none());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn failed_units_are_recorded_and_the_rest_survive() {
         let _l = LOCK.lock().unwrap();
         let dir = temp_report_dir("fail");
@@ -1049,7 +884,6 @@ pub(crate) mod tests {
             let _s = obs::span("phase_a");
             std::thread::sleep(std::time::Duration::from_millis(2));
         });
-        record_speedup("fault_simulation", "x", 2, 10.0, 5.0);
         let run_path = finish().expect("report written");
         resil::force_stable_ms(None);
         std::env::remove_var("PREBOND3D_REPORT_DIR");
@@ -1058,14 +892,8 @@ pub(crate) mod tests {
             match v {
                 Value::Obj(map) => {
                     for (k, v) in map {
-                        if matches!(
-                            k.as_str(),
-                            "ms" | "elapsed_ms"
-                                | "serial_ms"
-                                | "parallel_ms"
-                                | "speedup"
-                                | "threads"
-                        ) && matches!(v, Value::Num(_))
+                        if matches!(k.as_str(), "ms" | "elapsed_ms" | "threads")
+                            && matches!(v, Value::Num(_))
                         {
                             assert_eq!(v.as_f64(), Some(0.0), "field `{k}` must be zeroed");
                         }
@@ -1076,13 +904,17 @@ pub(crate) mod tests {
                 _ => {}
             }
         }
-        for path in [
-            run_path.clone(),
-            run_path.with_file_name("BENCH_unit_stable.json"),
-        ] {
-            let doc = prebond3d_obs::json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-            assert_zero(&doc);
-        }
+        let doc = prebond3d_obs::json::parse(&std::fs::read_to_string(&run_path).unwrap()).unwrap();
+        assert_eq!(doc.get("threads").and_then(Value::as_u64), Some(0));
+        assert_eq!(
+            doc.get("pool")
+                .and_then(|p| p.get("chunk_wait"))
+                .and_then(|h| h.get("count"))
+                .and_then(Value::as_u64),
+            Some(0),
+            "chunk counts depend on the thread configuration"
+        );
+        assert_zero(&doc);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

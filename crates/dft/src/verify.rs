@@ -237,7 +237,9 @@ mod tests {
                 Pattern { bits }
             })
             .collect();
-        let ov = orig_sim.run_batch(&original, &orig_access, &orig_patterns).unwrap();
+        let ov = orig_sim
+            .run_batch(&original, &orig_access, &orig_patterns)
+            .unwrap();
         let tv = test_sim
             .run_batch(&wrapped.netlist, &test_access, &test_patterns)
             .unwrap();

@@ -15,7 +15,7 @@
 //! | P330x  | `tsv-coverage`  | pre-bond TSV boundary coverage            |
 //! | P340x  | `timing-model`  | timing-model/threshold sanity, slack      |
 //! | P350x  | `mission-equiv` | mission-mode co-simulation                |
-//! | P360x  | `report-schema` | run/BENCH report JSON schema              |
+//! | P360x  | `report-schema` | run report JSON schema                    |
 //! | P370x  | —               | retired (serving-report consistency); never reused |
 //! | P380x  | `dataflow`      | fixpoint constant/X propagation, static testability |
 
@@ -126,11 +126,11 @@ pub const NEGATIVE_POST_SLACK: Code = Code(3404);
 pub const MISSION_MISMATCH: Code = Code(3501);
 
 // --- report-schema (P360x) ----------------------------------------------
-/// A run/BENCH report file is not parseable JSON.
+/// A run report file is not parseable JSON.
 pub const REPORT_UNPARSABLE: Code = Code(3601);
-/// A run/BENCH report drifted from its golden schema.
+/// A run report drifted from its golden schema.
 pub const REPORT_SCHEMA_DRIFT: Code = Code(3602);
-/// A run/BENCH report omits the expected telemetry blocks (hists/mem).
+/// A run report omits the expected telemetry blocks (hists/mem).
 pub const REPORT_MISSING_TELEMETRY: Code = Code(3603);
 
 // --- dataflow (P380x) -----------------------------------------------------

@@ -20,7 +20,7 @@
 //! | `tsv-coverage`  | P3301–P3305  | every pre-bond crossing wrapped or justified |
 //! | `timing-model`  | P3401–P3404  | wire-model monotonicity, thresholds, slack   |
 //! | `mission-equiv` | P3501        | mission-mode co-simulation equivalence       |
-//! | `report-schema` | P3601–P3602  | run/BENCH report JSON schema                 |
+//! | `report-schema` | P3601–P3602  | run report JSON schema                       |
 //!
 //! # Example
 //!

@@ -1,17 +1,18 @@
 //! Report-schema pass.
 //!
 //! The bench binaries emit machine-readable run reports
-//! (`results/run_<exp>.json`, `results/BENCH_<exp>.json`) that downstream
-//! tooling parses; a silent schema drift breaks that tooling long after
-//! the run that introduced it. This pass re-validates any report attached
-//! to the context: unparsable JSON is P3601, and any field path whose
-//! shape is absent from the golden schema is P3602.
+//! (`results/run_<exp>.json`) that downstream tooling parses; a silent
+//! schema drift breaks that tooling long after the run that introduced
+//! it. This pass re-validates any report attached to the context:
+//! unparsable JSON is P3601, and any field path whose shape is absent
+//! from the golden schema is P3602.
 //!
-//! The goldens are the same files `tests/report_schema.rs` pins
-//! (`tests/golden/*.schema.txt`), embedded at compile time so the lint
-//! binary needs no working directory. Drift is one-sided on purpose:
-//! reports may legally *omit* optional sections (a lite run has no
-//! speedup block), but may not *invent* shapes the golden never saw.
+//! The golden is the same file `tests/report_schema.rs` pins
+//! (`tests/golden/run_report.schema.txt`), embedded at compile time so the
+//! lint binary needs no working directory. Drift is one-sided on purpose:
+//! reports may legally *omit* optional sections (a run without failures
+//! has no `failures[].partial`), but may not *invent* shapes the golden
+//! never saw.
 
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
@@ -29,7 +30,6 @@ use prebond3d_obs::json::Value;
 const MAX_DRIFT: usize = 5;
 
 static RUN_GOLDEN: OnceLock<BTreeSet<String>> = OnceLock::new();
-static BENCH_GOLDEN: OnceLock<BTreeSet<String>> = OnceLock::new();
 
 fn run_golden() -> &'static BTreeSet<String> {
     RUN_GOLDEN.get_or_init(|| {
@@ -39,25 +39,11 @@ fn run_golden() -> &'static BTreeSet<String> {
     })
 }
 
-fn bench_golden() -> &'static BTreeSet<String> {
-    BENCH_GOLDEN.get_or_init(|| {
-        schema::parse_golden(include_str!(
-            "../../../../tests/golden/bench_report.schema.txt"
-        ))
-    })
-}
-
 /// Pick the golden schema for a report label (file basename); `None` for
 /// artifacts the pass does not know how to validate.
 fn golden_for(label: &str) -> Option<&'static BTreeSet<String>> {
     let base = label.rsplit('/').next().unwrap_or(label);
-    if base.starts_with("BENCH_") {
-        Some(bench_golden())
-    } else if base.starts_with("run_") {
-        Some(run_golden())
-    } else {
-        None
-    }
+    base.starts_with("run_").then(run_golden)
 }
 
 /// The report-schema pass.
@@ -123,18 +109,12 @@ impl Pass for ReportSchemaPass {
     }
 }
 
-/// Reports grown after the telemetry round carry `hists` + `mem` (run
-/// reports) resp. `mem` + `pool` (bench reports). A report omitting them is probably
-/// produced by a stale binary — worth a warning, not a failure, since
-/// lite fixtures legitimately skip optional blocks.
+/// Reports grown after the telemetry round carry `hists` + `mem`. A
+/// report omitting them is probably produced by a stale binary — worth a
+/// warning, not a failure, since lite fixtures legitimately skip optional
+/// blocks.
 fn check_telemetry_blocks(label: &str, value: &Value, artifact: &str, out: &mut Vec<Diagnostic>) {
-    let base = label.rsplit('/').next().unwrap_or(label);
-    let expected: &[&str] = if base.starts_with("BENCH_") {
-        &["mem", "pool"]
-    } else {
-        &["hists", "mem"]
-    };
-    let missing: Vec<&str> = expected
+    let missing: Vec<&str> = ["hists", "mem"]
         .iter()
         .copied()
         .filter(|key| !matches!(value.get(key), Some(Value::Obj(_))))
@@ -162,6 +142,9 @@ mod tests {
         r#"{
             "elapsed_ms": 12.0,
             "experiment": "smoke",
+            "threads": 4,
+            "pool": {"chunk_wait": {"count": 1, "sum": 2, "max": 2,
+                                    "p50": 2, "p95": 2, "p99": 2}},
             "hists": {"flow": {"count": 1, "sum": 9, "max": 9,
                                "p50": 9, "p95": 9, "p99": 9}},
             "mem": {"alloc_bytes_total": 100, "alloc_bytes_peak": 50,
@@ -242,40 +225,5 @@ mod tests {
     fn unknown_labels_are_skipped() {
         let report = lint("notes.json", "not json at all".to_string());
         assert!(report.with_code(REPORT_UNPARSABLE).is_empty());
-    }
-
-    /// Minimal per-die bench report that satisfies the bench golden
-    /// schema.
-    fn valid_bench_report() -> String {
-        r#"{
-            "experiment": "perf",
-            "threads": 4,
-            "elapsed_ms": 10.0,
-            "mem": {"alloc_bytes_total": 100, "alloc_bytes_peak": 50,
-                    "rss_now_kb": 10, "rss_peak_kb": 12,
-                    "rss_sampled_kb": {"count": 1, "sum": 10, "max": 10,
-                                       "p50": 10, "p95": 10, "p99": 10}},
-            "pool": {"chunk_wait": {"count": 1, "sum": 2, "max": 2,
-                                    "p50": 2, "p95": 2, "p99": 2}},
-            "phases": [{"path": "flow", "count": 1, "ms": 4.0,
-                        "p50_ns": 0, "p95_ns": 0, "p99_ns": 0, "max_ns": 0}],
-            "work": [{"counter": "atpg.gate_evals", "substrate": "b01 Die0",
-                      "reference": 800, "optimized": 400, "reduction": 0.5},
-                     {"counter": "atpg.pattern_batches",
-                      "substrate": "b01 Die0 wide lanes",
-                      "reference": 8, "optimized": 1, "reduction": 0.875}]
-        }"#
-        .to_string()
-    }
-
-    #[test]
-    fn valid_bench_report_is_clean() {
-        let report = lint("BENCH_perf.json", valid_bench_report());
-        assert!(!report.has_errors(), "{}", report.render());
-        assert!(
-            report.with_code(REPORT_MISSING_TELEMETRY).is_empty(),
-            "{}",
-            report.render()
-        );
     }
 }

@@ -71,12 +71,12 @@ pub use std::thread::scope;
 /// Deliberately **outside** the obs registry: chunk counts depend on the
 /// thread configuration (`auto_chunk` scales with [`threads`]), so folding
 /// this into per-die capture snapshots would break the "byte-identical at
-/// any thread count" report contract. The perf harness drains it into the
-/// BENCH report's `pool` block instead, where the whole block is zeroed
-/// under `PREBOND3D_STABLE_MS`.
+/// any thread count" report contract. The run report drains it into its
+/// `pool` block instead, where the whole histogram is emptied under
+/// `PREBOND3D_STABLE_MS`.
 static CHUNK_WAIT: Mutex<Hist> = Mutex::new(Hist::new());
 
-/// Snapshot-and-reset the global chunk-wait histogram (perf harness).
+/// Snapshot-and-reset the global chunk-wait histogram (run report).
 pub fn drain_chunk_wait() -> Hist {
     std::mem::take(&mut *CHUNK_WAIT.lock().unwrap())
 }

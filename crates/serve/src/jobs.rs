@@ -434,10 +434,7 @@ mod tests {
         // can act on each boundary problem without parsing the message.
         let issues = out.done.get("issues").and_then(Value::as_arr).unwrap();
         assert_eq!(issues.len(), 1, "{issues:?}");
-        assert!(issues[0]
-            .as_str()
-            .unwrap()
-            .contains("provably constant"));
+        assert!(issues[0].as_str().unwrap().contains("provably constant"));
         // The rejection happened before any flow span opened.
         assert!(!out
             .phases

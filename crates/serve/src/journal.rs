@@ -165,10 +165,7 @@ fn fold_entries(text: &str) -> Recovery {
             recovery.corrupt_lines += 1;
             continue;
         };
-        let key = entry
-            .get("key")
-            .and_then(Value::as_str)
-            .and_then(parse_key);
+        let key = entry.get("key").and_then(Value::as_str).and_then(parse_key);
         let (Some(ev), Some(key)) = (entry.get("ev").and_then(Value::as_str), key) else {
             recovery.corrupt_lines += 1;
             continue;
@@ -196,8 +193,7 @@ fn fold_entries(text: &str) -> Recovery {
             // journal can tell queued from in-flight at the crash.
             "running" => {}
             "done" => {
-                let Some(code) = entry.get("code").and_then(Value::as_f64).map(|f| f as i64)
-                else {
+                let Some(code) = entry.get("code").and_then(Value::as_f64).map(|f| f as i64) else {
                     recovery.corrupt_lines += 1;
                     continue;
                 };
@@ -284,12 +280,13 @@ impl Journal {
     fn append(&self, entry: &Value) {
         let line = format!("{entry}\n");
         let mut file = self.file.lock().unwrap();
-        let result = resil::chaos::io_error("io.write")
-            .map(Err)
-            .unwrap_or_else(|| {
+        let result = resil::chaos::io_error("io.write").map_or_else(
+            || {
                 file.write_all(line.as_bytes())
                     .and_then(|()| file.sync_data())
-            });
+            },
+            Err,
+        );
         match result {
             Ok(()) => resil::hooks::emit("journal", "append", &self.path.display().to_string()),
             Err(e) => {
@@ -298,7 +295,10 @@ impl Journal {
                     "append_failed",
                     format!("{}: {e}", self.path.display()),
                 );
-                eprintln!("[serve] journal append to {} failed: {e}", self.path.display());
+                eprintln!(
+                    "[serve] journal append to {} failed: {e}",
+                    self.path.display()
+                );
             }
         }
     }
@@ -335,10 +335,8 @@ mod tests {
     use super::*;
 
     fn tmp(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "prebond3d-journal-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("prebond3d-journal-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir.join("journal.wal")
@@ -383,7 +381,10 @@ mod tests {
         );
         assert_eq!(recovery.pending.len(), 1, "job 2 is the crash orphan");
         assert_eq!(recovery.pending[0].key, 2);
-        assert_eq!(recovery.pending[0].spec, s2, "spec round-trips the wire form");
+        assert_eq!(
+            recovery.pending[0].spec, s2,
+            "spec round-trips the wire form"
+        );
     }
 
     #[test]

@@ -824,13 +824,15 @@ fn handle_conn(mut stream: Box<dyn Conn>, shared: &Arc<Shared>) {
                         if let Some(record) = record {
                             shared.stats.deduped.fetch_add(1, Ordering::Relaxed);
                             obs::count("serve.deduped", 1);
-                            if !conn_send(shared, &mut stream, &proto::accepted(&spec.id, &key_text))
-                                || !conn_send(
-                                    shared,
-                                    &mut stream,
-                                    &replay_done(&spec.id, &key_text, &record),
-                                )
-                            {
+                            if !conn_send(
+                                shared,
+                                &mut stream,
+                                &proto::accepted(&spec.id, &key_text),
+                            ) || !conn_send(
+                                shared,
+                                &mut stream,
+                                &replay_done(&spec.id, &key_text, &record),
+                            ) {
                                 return;
                             }
                             continue;

@@ -278,7 +278,10 @@ mod tests {
             parse_request(r#"{"op":"shutdown"}"#).unwrap(),
             Request::Shutdown
         );
-        assert_eq!(parse_request(r#"{"op":"resume"}"#).unwrap(), Request::Resume);
+        assert_eq!(
+            parse_request(r#"{"op":"resume"}"#).unwrap(),
+            Request::Resume
+        );
         let r = parse_request(r#"{"op":"submit","id":"j1","circuit":"b11","die":2}"#).unwrap();
         match r {
             Request::Submit(spec) => {

@@ -191,7 +191,10 @@ fn sigkilled_daemon_recovers_every_accepted_job_exactly_once() {
         // Byte-identity: an uninterrupted fresh-id rerun matches.
         let fresh = line.replacen(r#""id":"k"#, r#""id":"fresh-k"#, 1);
         let rerun = Client::connect(&addr).submit(&fresh);
-        assert_eq!(rerun.get("report").map(Value::to_string), Some(report.clone()));
+        assert_eq!(
+            rerun.get("report").map(Value::to_string),
+            Some(report.clone())
+        );
         // Exactly-once: the original line dedups from the journal.
         let replay = Client::connect(&addr).submit(line);
         assert_eq!(replay.get("dedup").and_then(Value::as_bool), Some(true));
@@ -199,7 +202,13 @@ fn sigkilled_daemon_recovers_every_accepted_job_exactly_once() {
     }
     let stats = control.request(r#"{"op":"stats"}"#);
     assert_eq!(stat(&stats, "journal", "pending"), 0, "{stats}");
-    assert_eq!(control.request(r#"{"op":"shutdown"}"#).get("ev").and_then(Value::as_str), Some("bye"));
+    assert_eq!(
+        control
+            .request(r#"{"op":"shutdown"}"#)
+            .get("ev")
+            .and_then(Value::as_str),
+        Some("bye")
+    );
     drop(child);
     let _ = std::fs::remove_file(&journal);
     let _ = std::fs::remove_file(&port_file);

@@ -21,10 +21,7 @@ use serve_util::{field, start_with, stop, test_config, Client};
 /// A unique temp journal path per test (tests run concurrently in one
 /// process; pid alone is not enough).
 fn temp_journal(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "prebond3d-test-{tag}-{}.wal",
-        std::process::id()
-    ))
+    std::env::temp_dir().join(format!("prebond3d-test-{tag}-{}.wal", std::process::id()))
 }
 
 fn journaled_config(journal: &std::path::Path, paused: bool) -> ServerConfig {
@@ -37,7 +34,9 @@ fn journaled_config(journal: &std::path::Path, paused: bool) -> ServerConfig {
 }
 
 fn submit_line(id: &str, die: usize, method: &str) -> String {
-    format!(r#"{{"op":"submit","id":"{id}","circuit":"b11","die":{die},"method":"{method}","probe":"structural"}}"#)
+    format!(
+        r#"{{"op":"submit","id":"{id}","circuit":"b11","die":{die},"method":"{method}","probe":"structural"}}"#
+    )
 }
 
 /// Poll the `status` op until the key reaches `done`; recovered orphans
@@ -86,7 +85,10 @@ fn aborted_daemon_recovers_stranded_jobs_byte_identically() {
     let mut control = Client::connect(&addr);
     let stats = control.request(r#"{"op":"stats"}"#);
     assert_eq!(
-        stats.get("queue").and_then(|q| q.get("depth")).and_then(Value::as_u64),
+        stats
+            .get("queue")
+            .and_then(|q| q.get("depth"))
+            .and_then(Value::as_u64),
         Some(3),
         "held queue should hold all three jobs: {stats}"
     );
@@ -111,7 +113,10 @@ fn aborted_daemon_recovers_stranded_jobs_byte_identically() {
     assert_eq!(jstat("journal", "recovered"), 3);
     assert_eq!(jstat("journal", "pending"), 3);
     assert_eq!(jstat("queue", "depth"), 3);
-    assert_eq!(field(&control.request(r#"{"op":"resume"}"#), "ev"), "resumed");
+    assert_eq!(
+        field(&control.request(r#"{"op":"resume"}"#), "ev"),
+        "resumed"
+    );
 
     for (line, key) in lines.iter().zip(&keys) {
         let status = wait_done(&mut control, key);
@@ -138,7 +143,10 @@ fn aborted_daemon_recovers_stranded_jobs_byte_identically() {
     }
     let stats = control.request(r#"{"op":"stats"}"#);
     assert_eq!(
-        stats.get("journal").and_then(|j| j.get("pending")).and_then(Value::as_u64),
+        stats
+            .get("journal")
+            .and_then(|j| j.get("pending"))
+            .and_then(Value::as_u64),
         Some(0),
         "journal still has pending entries after the drain: {stats}"
     );
@@ -167,7 +175,10 @@ fn duplicate_submit_replays_from_the_journal() {
     );
     let stats = client.request(r#"{"op":"stats"}"#);
     assert_eq!(
-        stats.get("journal").and_then(|j| j.get("deduped")).and_then(Value::as_u64),
+        stats
+            .get("journal")
+            .and_then(|j| j.get("deduped"))
+            .and_then(Value::as_u64),
         Some(1)
     );
     stop(server);
@@ -248,7 +259,10 @@ fn status_op_handles_bad_and_unknown_keys() {
     assert_eq!(field(&bad, "ev"), "error");
     let unknown = client.request(r#"{"op":"status","key":"00000000deadbeef"}"#);
     assert_eq!(field(&unknown, "ev"), "status");
-    assert_eq!(unknown.get("state").and_then(Value::as_str), Some("unknown"));
+    assert_eq!(
+        unknown.get("state").and_then(Value::as_str),
+        Some("unknown")
+    );
     stop(server);
     let _ = std::fs::remove_file(&journal);
 }
