@@ -45,7 +45,6 @@
 //! ```
 
 pub mod access;
-pub mod diagnosis;
 pub mod engine;
 pub mod fault;
 pub mod faultsim;
@@ -55,7 +54,6 @@ pub mod sim;
 pub mod transition;
 
 pub use access::TestAccess;
-pub use diagnosis::{FaultDictionary, Signature};
 pub use engine::{AtpgConfig, AtpgResult};
 pub use fault::{Fault, FaultList, FaultSite, StuckAt};
 pub use prebond3d_netlist::V3;

@@ -13,16 +13,16 @@
 //! Afterwards, every `run_*.json` in the report directory is
 //! schema-checked. Findings print human-readably; the full
 //! set is written to `results/lint_<exp>.json` (directory overridable via
-//! `PREBOND3D_REPORT_DIR`, experiment name via the first CLI argument,
-//! default `full`). `--sarif <path>` additionally writes the findings as
-//! a SARIF 2.1.0 document for code-review/CI ingestion. Exit code 1 when
-//! any Error-severity finding survives, 3 when a die paniced while being
+//! `PREBOND3D_REPORT_DIR`, experiment name via the only CLI argument,
+//! default `full`). Exit code 1 when any Error-severity finding survives,
+//! 2 on a malformed command line, 3 when a die paniced while being
 //! audited and the rest carried on.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use prebond3d_bench::report::report_dir;
 use prebond3d_bench::{context, driver, lintflow};
 use prebond3d_dft::insert_scan;
 use prebond3d_lint::{Depth, LintContext, LintReport, Linter, Severity};
@@ -31,8 +31,20 @@ use prebond3d_resilience as resil;
 use prebond3d_wcm::flow::{FlowConfig, Method};
 use prebond3d_wcm::run_flow;
 
-fn report_dir() -> PathBuf {
-    std::env::var("PREBOND3D_REPORT_DIR").map_or_else(|_| PathBuf::from("results"), PathBuf::from)
+/// The experiment name from the command line: at most one positional
+/// argument, default `full`. An option or a second name is an error.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<String, String> {
+    let mut experiment = None;
+    for arg in args {
+        if arg.starts_with('-') {
+            return Err(format!("unknown option `{arg}`"));
+        }
+        if experiment.is_some() {
+            return Err(format!("unexpected second experiment name `{arg}`"));
+        }
+        experiment = Some(arg);
+    }
+    Ok(experiment.unwrap_or_else(|| "full".to_string()))
 }
 
 /// Lint one die through the staged contexts.
@@ -98,22 +110,13 @@ fn lint_reports_on_disk(dir: &PathBuf) -> Option<LintReport> {
 }
 
 fn main() -> ExitCode {
-    let mut experiment = "full".to_string();
-    let mut sarif_path: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--sarif" {
-            match args.next() {
-                Some(path) => sarif_path = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("prebond3d-lint: --sarif requires a path");
-                    return ExitCode::from(2);
-                }
-            }
-        } else {
-            experiment = arg;
+    let experiment = match parse_args(std::env::args().skip(1)) {
+        Ok(experiment) => experiment,
+        Err(e) => {
+            eprintln!("prebond3d-lint: {e}\nusage: prebond3d-lint [experiment]");
+            return ExitCode::from(2);
         }
-    }
+    };
     let names = context::circuit_names();
     eprintln!("prebond3d-lint: auditing {}", names.join(", "));
 
@@ -169,13 +172,6 @@ fn main() -> ExitCode {
         Ok(()) => eprintln!("lint report: {}", path.display()),
         Err(e) => eprintln!("lint report: {e}"),
     }
-    if let Some(path) = &sarif_path {
-        let sarif = prebond3d_lint::sarif::to_sarif(&reports);
-        match resil::io::atomic_write(path, &format!("{sarif}\n")) {
-            Ok(()) => eprintln!("sarif report: {}", path.display()),
-            Err(e) => eprintln!("sarif report: {e}"),
-        }
-    }
 
     if errors > 0 {
         ExitCode::from(1)
@@ -183,5 +179,21 @@ fn main() -> ExitCode {
         ExitCode::from(driver::EXIT_PARTIAL_FAILURE)
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    #[test]
+    fn takes_at_most_one_experiment_name_and_no_options() {
+        let parse = |args: &[&str]| parse_args(args.iter().map(ToString::to_string));
+        assert_eq!(parse(&[]).as_deref(), Ok("full"));
+        assert_eq!(parse(&["dataflow"]).as_deref(), Ok("dataflow"));
+        let err = parse(&["dataflow", "--out", "x.json"]).unwrap_err();
+        assert!(err.contains("--out"), "{err}");
+        assert!(parse(&["-h"]).is_err());
+        assert!(parse(&["dataflow", "smoke"]).is_err());
     }
 }

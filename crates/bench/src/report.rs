@@ -433,7 +433,9 @@ fn checkpoint_append(entry: &Value) {
     }
 }
 
-pub(crate) fn report_dir() -> PathBuf {
+/// Where run reports, checkpoints and lint reports go: `PREBOND3D_REPORT_DIR`,
+/// default `results` in the working directory.
+pub fn report_dir() -> PathBuf {
     std::env::var("PREBOND3D_REPORT_DIR").map_or_else(|_| PathBuf::from("results"), PathBuf::from)
 }
 

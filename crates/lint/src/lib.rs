@@ -40,12 +40,14 @@
 //! [`Linter`] run — e.g. the bench harness allows `P3404` for the Agrawal
 //! and Li baselines in the tight scenario, whose timing violations are the
 //! paper's intended Table III result.
+//!
+//! Reports serialize through [`LintReport::to_json`]; the `prebond3d-lint`
+//! binary writes them to `lint_<exp>.json`, its one machine-readable output.
 
 pub mod context;
 pub mod diagnostic;
 pub mod flow;
 pub mod passes;
-pub mod sarif;
 pub mod schema;
 
 use std::collections::BTreeSet;

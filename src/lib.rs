@@ -8,7 +8,6 @@
 //!
 //! * [`netlist`] — gate-level IR + synthetic ITC'99 benchmark generation,
 //! * [`celllib`] — a synthetic 45 nm standard-cell library,
-//! * [`partition`] — 3D partitioning and TSV extraction,
 //! * [`place`] — per-die placement (distances for the timing model),
 //! * [`sta`] — static timing analysis (the PrimeTime substitute),
 //! * [`atpg`] — test generation and fault simulation (the commercial-ATPG
@@ -49,7 +48,6 @@ pub use prebond3d_celllib as celllib;
 pub use prebond3d_dataflow as dataflow;
 pub use prebond3d_dft as dft;
 pub use prebond3d_netlist as netlist;
-pub use prebond3d_partition as partition;
 pub use prebond3d_place as place;
 pub use prebond3d_sta as sta;
 pub use prebond3d_wcm as wcm;

@@ -9,7 +9,6 @@ use prebond3d::atpg::engine::{run_stuck_at, AtpgConfig};
 use prebond3d::atpg::TestAccess;
 use prebond3d::celllib::Library;
 use prebond3d::netlist::{format, itc99, traverse, BitSet};
-use prebond3d::partition::{fm, level, random as rpart, tsv, PartitionSpec};
 use prebond3d::place::{place, PlaceConfig};
 use prebond3d::sta::{analyze, StaConfig};
 use prebond3d_rng::StdRng;
@@ -93,29 +92,6 @@ fn topological_order_is_consistent() {
             for &input in &gate.inputs {
                 assert!(pos[input.index()] < pos[id.index()], "case {case}");
             }
-        }
-    }
-}
-
-/// Every partitioner covers all gates, respects die count, and the
-/// extracted stack's TSV count equals the cut size.
-#[test]
-fn partitioners_are_well_formed() {
-    for case in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0xFA27 ^ case);
-        let seed = rng.gen_range(0u64..200);
-        let dies = rng.gen_range(2usize..5);
-        let flat = itc99::generate_flat("prop", 200, 16, 6, 6, seed);
-        let spec = PartitionSpec::new(dies);
-        for assignment in [
-            fm::partition(&flat, &spec, seed),
-            level::partition(&flat, &spec),
-            rpart::partition(&flat, &spec, seed),
-        ] {
-            assert_eq!(assignment.len(), flat.len(), "case {case}");
-            assert_eq!(assignment.die_sizes().len(), dies, "case {case}");
-            let stack = tsv::extract_dies(&flat, &assignment).expect("valid extraction");
-            assert_eq!(stack.tsvs.len(), assignment.cut_size(&flat), "case {case}");
         }
     }
 }
