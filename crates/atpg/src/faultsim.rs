@@ -29,27 +29,29 @@
 //!   lane exactly as its own walk would: nodes a lane reconverged at carry
 //!   that lane's good value in the stamped overlay.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use prebond3d_netlist::{GateKind, Netlist};
+use prebond3d_netlist::Netlist;
 use prebond3d_pool as pool;
 
 use crate::access::TestAccess;
 use crate::fault::{Fault, FaultSite};
+use crate::rank_queue::RankQueue;
 use crate::sim::{eval_rail_wide, Lanes, Pattern, RailW, SimError, Simulator};
 
-/// Epoch-stamped overlay of faulty values — the only mutable scratch a
-/// single-fault resimulation needs. Each pool worker owns one overlay
-/// (allocated once per worker, reused across its chunk of faults), which
-/// is what makes the fault loop embarrassingly parallel: everything else
-/// in a batch (`Simulator`, good machine, fault list) is shared read-only.
+/// Epoch-stamped overlay of faulty values plus the event queue — the
+/// only mutable scratch a single-fault resimulation needs. Each pool
+/// worker owns one overlay (allocated once per worker, reused across its
+/// chunk of faults), which is what makes the fault loop embarrassingly
+/// parallel: everything else in a batch (`Simulator`, good machine, fault
+/// list) is shared read-only.
 #[derive(Debug)]
 struct Overlay<const W: usize> {
     stamp: Vec<u32>,
     faulty: Vec<RailW<W>>,
     epoch: u32,
+    /// Empty between walks: a walk drains it or clears it on early exit.
+    queue: RankQueue,
 }
 
 impl<const W: usize> Overlay<W> {
@@ -58,6 +60,7 @@ impl<const W: usize> Overlay<W> {
             stamp: vec![0; len],
             faulty: vec![(Lanes::ZERO, Lanes::ZERO); len],
             epoch: 0,
+            queue: RankQueue::new(len),
         }
     }
 }
@@ -474,14 +477,6 @@ fn simulate_one<const W: usize>(
         }
     };
 
-    let gv = |overlay: &Overlay<W>, i: usize| -> RailW<W> {
-        if overlay.stamp[i] == overlay.epoch {
-            overlay.faulty[i]
-        } else {
-            good[i]
-        }
-    };
-
     // Difference mask at the root: where both values are known and
     // differ, or knownness changed (X→known divergence can become a
     // detection downstream only if it resolves; we track full rail).
@@ -489,8 +484,15 @@ fn simulate_one<const W: usize>(
     if root_faulty == root_good {
         return (Lanes::ZERO, evals);
     }
-    overlay.stamp[root.index()] = overlay.epoch;
-    overlay.faulty[root.index()] = root_faulty;
+    let Overlay {
+        stamp,
+        faulty,
+        epoch,
+        queue,
+    } = overlay;
+    let epoch = *epoch;
+    stamp[root.index()] = epoch;
+    faulty[root.index()] = root_faulty;
 
     let mut detect = Lanes::<W>::ZERO;
     // Lanes still accumulating detect bits; a lane freezes (drops out)
@@ -543,51 +545,42 @@ fn simulate_one<const W: usize>(
     }
 
     // Event-driven propagation in topological-rank order.
-    let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-    let push_fanouts = |heap: &mut BinaryHeap<Reverse<(u32, u32)>>,
-                        id: prebond3d_netlist::GateId| {
-        for &fo in netlist.fanout(id) {
-            let kind = netlist.gate(fo).kind;
-            if kind.is_sequential() || matches!(kind, GateKind::Output | GateKind::TsvOut) {
-                continue; // frame boundary; detection uses the driver
-            }
-            heap.push(Reverse((sim.rank(fo), fo.0)));
-        }
-    };
-    push_fanouts(&mut heap, root);
-
-    let mut last: Option<u32> = None;
-    while let Some(Reverse((rank, raw))) = heap.pop() {
-        if last == Some(raw) {
-            continue; // deduplicate multi-pushes
-        }
-        last = Some(raw);
-        let _ = rank;
-        let id = prebond3d_netlist::GateId(raw);
-        let gate = netlist.gate(id);
+    for &fo in sim.fanout_ranks(sim.rank(root)) {
+        queue.push(fo);
+    }
+    while let Some(r) = queue.pop() {
+        let (id, kind, inputs) = sim.gate_at(r);
         // Max arity is 3; a stack buffer avoids a heap allocation per
         // evaluated gate, which dominates the first (all-faults-alive)
         // simulation batch on the large b18 dies.
         let mut buf = [(Lanes::<W>::ZERO, Lanes::<W>::ZERO); 3];
-        for (slot, &i) in buf.iter_mut().zip(gate.inputs.iter()) {
-            *slot = gv(overlay, i.index());
+        for (slot, &i) in buf.iter_mut().zip(inputs) {
+            let i = i as usize;
+            *slot = if stamp[i] == epoch {
+                faulty[i]
+            } else {
+                good[i]
+            };
         }
         evals += 1;
-        let f = eval_rail_wide(gate.kind, &buf[..gate.inputs.len()]);
+        let f = eval_rail_wide(kind, &buf[..inputs.len()]);
         if f == good[id.index()] {
             continue; // reconverged in every lane: no event
         }
-        overlay.stamp[id.index()] = overlay.epoch;
-        overlay.faulty[id.index()] = f;
+        stamp[id.index()] = epoch;
+        faulty[id.index()] = f;
         if access.is_observed(id) {
             check_observed(&mut detect, &accept, id.index(), f);
             // Checkpoint: freeze satisfied lanes, exit once all are.
             freeze(&detect, &mut accept);
             if satisfied(&accept) {
+                queue.clear();
                 return (detect, evals);
             }
         }
-        push_fanouts(&mut heap, id);
+        for &fo in sim.fanout_ranks(r) {
+            queue.push(fo);
+        }
     }
     (detect, evals)
 }
@@ -596,7 +589,8 @@ fn simulate_one<const W: usize>(
 mod tests {
     use super::*;
     use crate::fault::{FaultList, StuckAt};
-    use prebond3d_netlist::NetlistBuilder;
+    use prebond3d_netlist::{itc99, GateKind, NetlistBuilder};
+    use prebond3d_rng::StdRng;
 
     /// y = and(a, b), observed at a PO; classic textbook example.
     fn and_rig() -> (Netlist, TestAccess) {
@@ -706,7 +700,6 @@ mod tests {
 
     #[test]
     fn parallel_detection_masks_are_bit_identical_to_serial() {
-        use prebond3d_netlist::itc99;
         let die = itc99::generate_flat("d", 400, 24, 6, 6, 11);
         let acc = TestAccess::full_scan(&die);
         let list = FaultList::collapsed(&die);
@@ -741,7 +734,6 @@ mod tests {
 
     #[test]
     fn wide_exact_masks_match_narrow_blocks() {
-        use prebond3d_netlist::itc99;
         let die = itc99::generate_flat("d", 300, 20, 6, 6, 7);
         let acc = TestAccess::full_scan(&die);
         let list = FaultList::collapsed(&die);
@@ -776,7 +768,6 @@ mod tests {
 
     #[test]
     fn wide_any_masks_replicate_narrow_early_exits() {
-        use prebond3d_netlist::itc99;
         let die = itc99::generate_flat("d", 300, 20, 6, 6, 13);
         let acc = TestAccess::full_scan(&die);
         let list = FaultList::collapsed(&die);
@@ -815,7 +806,6 @@ mod tests {
 
     #[test]
     fn full_universe_on_generated_die_is_mostly_detectable() {
-        use prebond3d_netlist::itc99;
         let die = itc99::generate_flat("d", 120, 10, 5, 5, 9);
         let acc = TestAccess::full_scan(&die);
         let list = FaultList::collapsed(&die);
@@ -851,5 +841,111 @@ mod tests {
             coverage > 0.6,
             "random patterns should detect most faults, got {coverage:.2}"
         );
+    }
+
+    fn random_patterns(width: usize, count: usize, seed: u64) -> Vec<Pattern> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..count)
+            .map(|_| Pattern {
+                bits: (0..width).map(|_| rng.gen::<bool>()).collect(),
+            })
+            .collect()
+    }
+
+    /// Wide-entry masks in `Exact` (`any = false`) or `Any` mode, and the
+    /// gate evaluations they took: a rank left queued by an abandoned walk
+    /// shows as extra evaluations even where it changes no mask.
+    fn grade(
+        fs: &mut FaultSimulator,
+        die: &Netlist,
+        acc: &TestAccess,
+        ps: &[Pattern],
+        faults: &[Fault],
+        any: bool,
+    ) -> (Vec<u64>, u64) {
+        let alive = vec![true; faults.len()];
+        let (masks, snap) = prebond3d_obs::capture_recorded(|| {
+            let (_, masks) = if any {
+                fs.simulate_batch_any_wide(die, acc, ps, faults, &alive)
+            } else {
+                fs.simulate_batch_wide(die, acc, ps, faults, &alive)
+            }
+            .unwrap();
+            masks.to_vec()
+        });
+        (masks, snap.counter("atpg.gate_evals"))
+    }
+
+    /// Each fault graded alone by a fresh simulator: no scratch state can
+    /// leak from one fault's walk into the next.
+    fn grade_fresh(
+        die: &Netlist,
+        acc: &TestAccess,
+        ps: &[Pattern],
+        faults: &[Fault],
+        any: bool,
+    ) -> (Vec<u64>, u64) {
+        let mut all = (Vec::new(), 0);
+        for &f in faults {
+            let (masks, evals) = grade(&mut FaultSimulator::new(die), die, acc, ps, &[f], any);
+            all.0.extend(masks);
+            all.1 += evals;
+        }
+        all
+    }
+
+    #[test]
+    fn persistent_serial_overlay_matches_a_fresh_simulator_per_fault() {
+        let die = itc99::generate_flat("d", 120, 10, 5, 5, 17);
+        let acc = TestAccess::full_scan(&die);
+        let list = FaultList::collapsed(&die);
+        // 64 patterns run at W=1, 300 at W=8.
+        for count in [64, 300] {
+            let ps = random_patterns(acc.width(), count, 0x5EED_0000 + count as u64);
+            for any in [false, true] {
+                let persistent = pool::with_threads(1, || {
+                    let mut fs = FaultSimulator::new(&die);
+                    grade(&mut fs, &die, &acc, &ps, &list.faults, any)
+                });
+                let fresh = grade_fresh(&die, &acc, &ps, &list.faults, any);
+                assert_eq!(persistent, fresh, "{count} patterns, any = {any}");
+            }
+        }
+    }
+
+    /// Stamp every gate as if the walk at epoch 1 had touched it, then
+    /// move the overlay to the edge of the epoch wrap: a wrap that kept
+    /// the old stamps would read those faulty values as current.
+    fn near_wrap<const W: usize>(overlay: &mut Overlay<W>) {
+        overlay.stamp.fill(1);
+        overlay.epoch = u32::MAX - 1;
+    }
+
+    #[test]
+    fn overlay_epoch_wrap_keeps_masks_exact() {
+        let die = itc99::generate_flat("d", 120, 10, 5, 5, 19);
+        let acc = TestAccess::full_scan(&die);
+        let list = FaultList::collapsed(&die);
+        for count in [64, 300] {
+            let ps = random_patterns(acc.width(), count, 0x3A9_0000 + count as u64);
+            for any in [false, true] {
+                let fresh = grade_fresh(&die, &acc, &ps, &list.faults, any);
+                pool::with_threads(1, || {
+                    let mut fs = FaultSimulator::new(&die);
+                    grade(&mut fs, &die, &acc, &ps, &list.faults, any);
+                    match count {
+                        64 => near_wrap(&mut fs.overlay1),
+                        _ => near_wrap(fs.overlay8.as_mut().unwrap()),
+                    }
+                    let wrapped = grade(&mut fs, &die, &acc, &ps, &list.faults, any);
+                    let epoch = match count {
+                        64 => fs.overlay1.epoch,
+                        _ => fs.overlay8.as_ref().unwrap().epoch,
+                    };
+                    assert!(epoch <= list.len() as u32, "epoch wrapped");
+                    assert_eq!(wrapped, fresh, "{count} patterns, any = {any}");
+                });
+            }
+        }
     }
 }

@@ -50,6 +50,7 @@ pub mod fault;
 pub mod faultsim;
 pub mod podem;
 pub mod prune;
+mod rank_queue;
 pub mod sim;
 pub mod transition;
 

@@ -243,12 +243,44 @@ pub fn eval_rail_wide<const W: usize>(kind: GateKind, inputs: &[RailW<W>]) -> Ra
     }
 }
 
-/// A prepared simulator: topological order and rank cache for one netlist.
+/// One gate in rank order: the fields the simulation loops read, copied
+/// out of the netlist's `Gate { name, inputs: Vec }` into one flat record.
+#[derive(Debug, Clone, Copy)]
+struct RankedGate {
+    id: u32,
+    /// Driver gate indices; the first `arity` are valid (max arity is 3).
+    inputs: [u32; 3],
+    kind: GateKind,
+    arity: u8,
+}
+
+impl RankedGate {
+    /// The gate's id, kind and driver indices.
+    #[inline]
+    fn parts(&self) -> (GateId, GateKind, &[u32]) {
+        (
+            GateId(self.id),
+            self.kind,
+            &self.inputs[..self.arity as usize],
+        )
+    }
+}
+
+/// A prepared simulator: the topological order of one netlist, flattened
+/// into rank-indexed arrays the good-machine pass and the faulty cone walk
+/// read without touching the netlist.
 #[derive(Debug, Clone)]
 pub struct Simulator {
-    order: Vec<GateId>,
+    /// Gates in topological order: entry `r` is the gate of rank `r`.
+    gates: Vec<RankedGate>,
     /// Topological rank per gate (for cone-restricted faulty passes).
     rank: Vec<u32>,
+    /// Propagation CSR: the ranks of rank `r`'s fanouts a fault effect
+    /// travels through are `fanout[fanout_start[r]..fanout_start[r + 1]]`.
+    /// Frame boundaries (flip-flops, wrapper cells, outputs, outbound
+    /// TSVs) are dropped: detection there is checked at the driver.
+    fanout_start: Vec<u32>,
+    fanout: Vec<u32>,
 }
 
 impl Simulator {
@@ -259,7 +291,36 @@ impl Simulator {
         for (r, id) in order.iter().enumerate() {
             rank[id.index()] = r as u32;
         }
-        Simulator { order, rank }
+        let mut gates = Vec::with_capacity(order.len());
+        let mut fanout_start = Vec::with_capacity(order.len() + 1);
+        let mut fanout = Vec::new();
+        for &id in &order {
+            let gate = netlist.gate(id);
+            let mut inputs = [0u32; 3];
+            for (slot, i) in inputs.iter_mut().zip(&gate.inputs) {
+                *slot = i.0;
+            }
+            gates.push(RankedGate {
+                id: id.0,
+                inputs,
+                kind: gate.kind,
+                arity: gate.inputs.len() as u8,
+            });
+            fanout_start.push(fanout.len() as u32);
+            for &fo in netlist.fanout(id) {
+                let kind = netlist.gate(fo).kind;
+                if !(kind.is_sequential() || matches!(kind, GateKind::Output | GateKind::TsvOut)) {
+                    fanout.push(rank[fo.index()]);
+                }
+            }
+        }
+        fanout_start.push(fanout.len() as u32);
+        Simulator {
+            gates,
+            rank,
+            fanout_start,
+            fanout,
+        }
     }
 
     /// Topological rank of a gate.
@@ -267,9 +328,18 @@ impl Simulator {
         self.rank[id.index()]
     }
 
-    /// The cached topological order.
-    pub fn order(&self) -> &[GateId] {
-        &self.order
+    /// The gate of rank `r`: its id, kind and driver indices.
+    #[inline]
+    pub(crate) fn gate_at(&self, r: u32) -> (GateId, GateKind, &[u32]) {
+        self.gates[r as usize].parts()
+    }
+
+    /// Ranks of the gates a fault effect at rank `r` propagates into: its
+    /// combinational fanouts, each ranked strictly above `r`.
+    #[inline]
+    pub(crate) fn fanout_ranks(&self, r: u32) -> &[u32] {
+        let r = r as usize;
+        &self.fanout[self.fanout_start[r] as usize..self.fanout_start[r + 1] as usize]
     }
 
     /// Simulate up to 64 patterns at once; returns dual-rail values per
@@ -329,20 +399,20 @@ impl Simulator {
         }
 
         // Constants and uncontrollable sources.
-        for &id in &self.order {
-            let gate = netlist.gate(id);
-            match gate.kind {
+        for (id, kind, inputs) in self.gates.iter().map(RankedGate::parts) {
+            match kind {
                 GateKind::Const0 => values[id.index()] = (Lanes::ZERO, unk_tail),
                 GateKind::Const1 => values[id.index()] = (used, unk_tail),
-                _ => {
-                    if gate.kind.is_combinational() {
-                        let inputs: Vec<RailW<W>> =
-                            gate.inputs.iter().map(|&i| values[i.index()]).collect();
-                        values[id.index()] = eval_rail_wide(gate.kind, &inputs);
+                _ if kind.is_combinational() => {
+                    let mut buf = [(Lanes::<W>::ZERO, Lanes::<W>::ZERO); 3];
+                    for (slot, &i) in buf.iter_mut().zip(inputs) {
+                        *slot = values[i as usize];
                     }
-                    // Sources (Input/ScanDff/TsvIn/Wrapper) keep whatever
-                    // was loaded — X by default.
+                    values[id.index()] = eval_rail_wide(kind, &buf[..inputs.len()]);
                 }
+                // Sources (Input/ScanDff/TsvIn/Wrapper) keep whatever was
+                // loaded — X by default.
+                _ => {}
             }
         }
         Ok(values)

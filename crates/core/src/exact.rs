@@ -2,8 +2,9 @@
 //!
 //! The WCM is NP-hard, so the paper (like Agrawal et al.) solves it with
 //! the Algorithm 2 heuristic. For *small* instances an exact optimum is
-//! affordable, which lets the test suite and the ablation benches measure
-//! the heuristic's optimality gap instead of taking it on faith.
+//! affordable, which lets the unit tests below measure the heuristic's
+//! optimality gap instead of taking it on faith. Only those tests reach
+//! it: no flow, experiment or benchmark calls the exact solver.
 //!
 //! The solver enumerates nodes in a fixed order and assigns each either to
 //! an existing clique it is fully adjacent to, or to a fresh clique,

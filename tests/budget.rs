@@ -1,7 +1,7 @@
 //! Phase-budget degradation end to end (DESIGN.md §10): with
-//! `PREBOND3D_BUDGET_MS` armed at zero, every budgeted search — the
-//! annealer, clique merging, the exact-clique branch-and-bound, the PODEM
-//! random and deterministic phases, compaction — must cut itself off at
+//! `PREBOND3D_BUDGET_MS` armed at zero, every budgeted search the flow
+//! runs — the annealer, clique merging, the PODEM random and
+//! deterministic phases, compaction — must cut itself off at
 //! its first deadline poll, return its best-so-far (or abort-with-reason)
 //! result, record a structured degradation that lands in the run report,
 //! and still pass the lint gate through the budget allow-list.
