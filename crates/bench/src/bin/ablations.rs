@@ -11,7 +11,7 @@
 
 use std::process::ExitCode;
 
-use prebond3d_bench::lintflow::checked_run_flow;
+use prebond3d_bench::context::checked_run_flow;
 use prebond3d_bench::{context, driver, report};
 use prebond3d_wcm::flow::{FlowConfig, Method, Scenario};
 use prebond3d_wcm::OrderingPolicy;

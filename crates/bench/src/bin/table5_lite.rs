@@ -2,9 +2,8 @@
 //! wrapper cells with overlapped-cone sharing off/on, tight timing.
 use std::process::ExitCode;
 
-use prebond3d_bench::lintflow::checked_run_flow;
-use prebond3d_bench::{context, driver, report};
-use prebond3d_wcm::flow::{FlowConfig, Method, Scenario};
+use prebond3d_bench::{context, driver, report, table5};
+use prebond3d_wcm::flow::FlowError;
 
 fn main() -> ExitCode {
     driver::run("table5_lite", || {
@@ -17,38 +16,24 @@ fn main() -> ExitCode {
         let mut dies = 0usize;
         for name in context::circuit_names() {
             for case in context::load_circuit(name) {
-                let row = report::die_scope(&case.label(), || {
-                    let mut row = Vec::new();
-                    for allow in [false, true] {
-                        let cfg = FlowConfig {
-                            method: Method::Ours,
-                            scenario: Scenario::Tight,
-                            ordering: None,
-                            allow_overlap: Some(allow),
-                        };
-                        let r = checked_run_flow(
-                            &case.label(),
-                            &case.netlist,
-                            &case.placement,
-                            &lib,
-                            &cfg,
-                        )?;
-                        row.push((r.reused_scan_ffs, r.additional_wrapper_cells));
-                    }
-                    Ok::<_, prebond3d_wcm::flow::FlowError>(row)
+                let (off, on) = report::die_scope(&case.label(), || {
+                    Ok::<_, FlowError>((
+                        table5::hardware(&case, &lib, false)?,
+                        table5::hardware(&case, &lib, true)?,
+                    ))
                 })?;
                 println!(
                     "{:<12} | {:>7} {:>7} | {:>7} {:>7}",
                     case.label(),
-                    row[0].0,
-                    row[0].1,
-                    row[1].0,
-                    row[1].1
+                    off.reused,
+                    off.additional,
+                    on.reused,
+                    on.additional
                 );
-                f0 += row[0].0;
-                c0 += row[0].1;
-                f1 += row[1].0;
-                c1 += row[1].1;
+                f0 += off.reused;
+                c0 += off.additional;
+                f1 += on.reused;
+                c1 += on.additional;
                 dies += 1;
             }
         }

@@ -7,7 +7,7 @@
 //! | code | meaning                                                   |
 //! |------|-----------------------------------------------------------|
 //! | 0    | full success                                              |
-//! | 1    | lint gate failed ([`FlowError::LintGate`], `bin/lint`)    |
+//! | 1    | slack contract broken ([`FlowError::SlackContract`])      |
 //! | 2    | bad circuit selection (`PREBOND3D_CIRCUITS` matches none) |
 //! | 3    | partial failure: some units failed, the rest completed    |
 //! | 4    | catastrophic: a typed fatal error or an escaped panic     |
@@ -99,10 +99,11 @@ mod tests {
     fn typed_errors_map_to_their_exit_code_and_escapes_to_fatal() {
         let _l = LOCK.lock().unwrap();
         with_dir("typed", || {
-            let code = run("driver_lintgate", || {
-                Err(FlowError::LintGate {
+            let code = run("driver_slack", || {
+                Err(FlowError::SlackContract {
                     label: "x".to_string(),
-                    report: String::new(),
+                    wns: prebond3d_celllib::Time(-1.0),
+                    clock_period: prebond3d_celllib::Time(1000.0),
                 })
             });
             assert_eq!(code, ExitCode::from(1));

@@ -7,9 +7,8 @@
 use std::fmt::Write as _;
 
 use prebond3d_obs::json::Value;
-use prebond3d_wcm::flow::{FlowConfig, Method, Scenario};
 
-use crate::context;
+use crate::{context, table5};
 
 /// One circuit's edge counts (summed over dies and both phases).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,30 +43,11 @@ pub fn run() -> Vec<Row> {
             &cases,
             crate::DieCase::label,
             |case| {
-                let mut w = 0usize;
-                let mut wo = 0usize;
-                for allow in [false, true] {
-                    let config = FlowConfig {
-                        method: Method::Ours,
-                        scenario: Scenario::Tight,
-                        ordering: None,
-                        allow_overlap: Some(allow),
-                    };
-                    let r = crate::lintflow::checked_run_flow(
-                        &case.label(),
-                        &case.netlist,
-                        &case.placement,
-                        &lib,
-                        &config,
-                    )
-                    .expect("flow runs and lints clean");
-                    let edges: usize = r.phases.iter().map(|p| p.edges).sum();
-                    if allow {
-                        w += edges;
-                    } else {
-                        wo += edges;
-                    }
-                }
+                let [wo, w] = [false, true].map(|allow| {
+                    table5::hardware(case, &lib, allow)
+                        .expect("flow runs and meets its slack contract")
+                        .edges
+                });
                 (w, wo)
             },
             |&(w, wo)| Value::obj([("with", w.into()), ("without", wo.into())]),

@@ -13,7 +13,6 @@
 pub mod context;
 pub mod driver;
 pub mod fig7;
-pub mod lintflow;
 pub mod report;
 pub mod table1;
 pub mod table2;

@@ -433,7 +433,7 @@ fn checkpoint_append(entry: &Value) {
     }
 }
 
-/// Where run reports, checkpoints and lint reports go: `PREBOND3D_REPORT_DIR`,
+/// Where run reports and checkpoints go: `PREBOND3D_REPORT_DIR`,
 /// default `results` in the working directory.
 pub fn report_dir() -> PathBuf {
     std::env::var("PREBOND3D_REPORT_DIR").map_or_else(|_| PathBuf::from("results"), PathBuf::from)

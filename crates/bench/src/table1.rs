@@ -13,8 +13,7 @@ use prebond3d_obs::json::Value;
 use prebond3d_wcm::flow::{FlowConfig, Method, Scenario};
 use prebond3d_wcm::OrderingPolicy;
 
-use crate::context::{self, DieCase};
-use crate::lintflow::checked_run_flow;
+use crate::context::{self, checked_run_flow, DieCase};
 
 /// One die's two ordering outcomes.
 #[derive(Debug, Clone)]
@@ -75,7 +74,7 @@ pub fn run_die(case: &DieCase, atpg: &AtpgConfig) -> Row {
             allow_overlap: None,
         };
         let r = checked_run_flow(&case.label(), &case.netlist, &case.placement, &lib, &config)
-            .expect("flow runs and lints clean");
+            .expect("flow runs and meets its slack contract");
         let access = prebond_access(&r.testable);
         let atpg_result = run_stuck_at(&r.testable.netlist, &access, atpg);
         (atpg_result.test_coverage(), r.additional_wrapper_cells)

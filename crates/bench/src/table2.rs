@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 
 use prebond3d_obs::json::Value;
 
-use crate::context;
+use crate::context::{self, DieCase};
 
 /// One die row.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,6 +54,19 @@ impl Row {
     }
 }
 
+/// One die's row.
+pub fn row(case: &DieCase) -> Row {
+    let s = case.netlist.stats();
+    Row {
+        label: case.label(),
+        scan_ffs: s.scan_flip_flops,
+        gates: s.combinational_gates,
+        tsvs: s.tsvs(),
+        inbound: s.inbound_tsvs,
+        outbound: s.outbound_tsvs,
+    }
+}
+
 /// Collect rows for the selected circuits (die generation + placement is
 /// the work here, parallelized inside [`context::load_circuits`]).
 pub fn run() -> Vec<Row> {
@@ -61,18 +74,8 @@ pub fn run() -> Vec<Row> {
     crate::report::resilient_par_die_scopes(
         "table2",
         &cases,
-        crate::DieCase::label,
-        |case| {
-            let s = case.netlist.stats();
-            Row {
-                label: case.label(),
-                scan_ffs: s.scan_flip_flops,
-                gates: s.combinational_gates,
-                tsvs: s.tsvs(),
-                inbound: s.inbound_tsvs,
-                outbound: s.outbound_tsvs,
-            }
-        },
+        DieCase::label,
+        row,
         Row::to_json,
         Row::from_json,
     )

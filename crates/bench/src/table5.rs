@@ -9,12 +9,12 @@
 use std::fmt::Write as _;
 
 use prebond3d_atpg::engine::{run_stuck_at, run_transition, AtpgConfig};
+use prebond3d_celllib::Library;
 use prebond3d_dft::prebond_access;
 use prebond3d_obs::json::Value;
-use prebond3d_wcm::flow::{FlowConfig, Method, Scenario};
+use prebond3d_wcm::flow::{FlowConfig, FlowError, Method, Scenario};
 
-use crate::context::{self, DieCase};
-use crate::lintflow::checked_run_flow;
+use crate::context::{self, checked_run_flow, DieCase};
 
 /// Numbers for one overlap setting.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,16 +89,48 @@ impl Row {
     }
 }
 
-fn measure(case: &DieCase, allow_overlap: bool, atpg: &AtpgConfig) -> Cell {
-    let lib = context::library();
-    let config = FlowConfig {
+/// Ours under tight timing with overlapped-cone sharing forced off or on.
+fn overlap_config(allow_overlap: bool) -> FlowConfig {
+    FlowConfig {
         method: Method::Ours,
         scenario: Scenario::Tight,
         ordering: None,
         allow_overlap: Some(allow_overlap),
-    };
+    }
+}
+
+/// Table V's hardware columns for one die and overlap setting, plus the
+/// sharing-graph edges Fig. 7 sums; no ATPG.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hardware {
+    /// Reused scan flip-flops.
+    pub reused: usize,
+    /// Additional wrapper cells.
+    pub additional: usize,
+    /// Sharing-graph edges over both phases.
+    pub edges: usize,
+}
+
+/// Run the flow behind one [`Hardware`] cell.
+///
+/// # Errors
+///
+/// The flow's failures and its slack contract's.
+pub fn hardware(case: &DieCase, lib: &Library, allow_overlap: bool) -> Result<Hardware, FlowError> {
+    let config = overlap_config(allow_overlap);
+    let r = checked_run_flow(&case.label(), &case.netlist, &case.placement, lib, &config)?;
+    Ok(Hardware {
+        reused: r.reused_scan_ffs,
+        additional: r.additional_wrapper_cells,
+        edges: r.phases.iter().map(|p| p.edges).sum(),
+    })
+}
+
+fn measure(case: &DieCase, allow_overlap: bool, atpg: &AtpgConfig) -> Cell {
+    let lib = context::library();
+    let config = overlap_config(allow_overlap);
     let r = checked_run_flow(&case.label(), &case.netlist, &case.placement, &lib, &config)
-        .expect("flow runs and lints clean");
+        .expect("flow runs and meets its slack contract");
     let access = prebond_access(&r.testable);
     // Huge dies get size-scaled deterministic effort (PODEM implication is
     // linear in gate count, so the b18 dies would otherwise dominate).

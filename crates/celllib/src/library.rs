@@ -137,26 +137,6 @@ impl Library {
         }
     }
 
-    /// Assemble a library from explicit parts; cell timings are the
-    /// defaults of [`Library::nangate45_like`].
-    pub fn from_parts(
-        name: String,
-        wire: WireModel,
-        tsv: TsvParams,
-        reuse: ReuseOverhead,
-        clk_to_q: Time,
-        setup: Time,
-    ) -> Self {
-        let mut lib = Library::nangate45_like();
-        lib.name = name;
-        lib.wire = wire;
-        lib.tsv = tsv;
-        lib.reuse = reuse;
-        lib.clk_to_q = clk_to_q;
-        lib.setup = setup;
-        lib
-    }
-
     /// Library name.
     pub fn name(&self) -> &str {
         &self.name
@@ -199,6 +179,7 @@ impl Default for Library {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::Distance;
 
     #[test]
     fn kind_order_matches_discriminants() {
@@ -240,5 +221,25 @@ mod tests {
         assert_eq!(lib.default_cap_th(), lib.timing(GateKind::ScanDff).max_load);
         assert_eq!(Library::default(), lib);
         assert_eq!(lib.name(), "synthetic45");
+    }
+
+    /// Reuse decisions price distance through the wire model, so wire
+    /// delay and driver load must never fall as a wire gets longer. The
+    /// probe distances straddle the 120 µm buffer interval so the load
+    /// plateau is covered.
+    #[test]
+    fn wire_delay_and_load_are_monotone_in_distance() {
+        let wire = *Library::nangate45_like().wire();
+        let load = Capacitance(5.0);
+        let probe_um = [
+            0.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 120.0, 150.0, 200.0, 400.0, 800.0, 1600.0,
+        ];
+        for pair in probe_um.windows(2) {
+            let (near, far) = (Distance(pair[0]), Distance(pair[1]));
+            let (d0, d1) = (wire.elmore_delay(near, load), wire.elmore_delay(far, load));
+            assert!(d1.0 >= d0.0, "delay {d0} at {near} but {d1} at {far}");
+            let (l0, l1) = (wire.driver_load(near), wire.driver_load(far));
+            assert!(l1.0 >= l0.0, "driver load {l0} at {near} but {l1} at {far}");
+        }
     }
 }

@@ -44,13 +44,16 @@ pub enum FlowError {
         /// The underlying plan-validation message.
         message: String,
     },
-    /// The post-flow lint gate found Error-severity diagnostics
-    /// (constructed by the bench harness, not by `run_flow` itself).
-    LintGate {
+    /// A flow that promises timing closure (Ours under tight timing)
+    /// left negative or NaN post-insertion worst slack (constructed by
+    /// the bench harness, not by `run_flow` itself).
+    SlackContract {
         /// The experiment cell label.
         label: String,
-        /// The rendered lint report.
-        report: String,
+        /// The post-insertion worst slack.
+        wns: Time,
+        /// The scenario clock period.
+        clock_period: Time,
     },
     /// A report or checkpoint write failed; the path names the file.
     Io {
@@ -76,7 +79,7 @@ impl FlowError {
     pub fn exit_code(&self) -> i32 {
         match self {
             FlowError::Dft { .. } => 4,
-            FlowError::LintGate { .. } => 1,
+            FlowError::SlackContract { .. } => 1,
             FlowError::Io { .. } => 4,
             FlowError::Sim { .. } => 4,
         }
@@ -89,9 +92,16 @@ impl std::fmt::Display for FlowError {
             FlowError::Dft { stage, message } => {
                 write!(f, "DFT insertion failed during {stage}: {message}")
             }
-            FlowError::LintGate { label, report } => {
-                write!(f, "lint gate failed after flow `{label}`:\n{report}")
-            }
+            FlowError::SlackContract {
+                label,
+                wns,
+                clock_period,
+            } => write!(
+                f,
+                "slack contract broken after flow `{label}`: post-insertion worst slack is \
+                 {:.2} ps at a {:.0} ps clock",
+                wns.0, clock_period.0
+            ),
             FlowError::Io { path, source } => {
                 write!(f, "cannot write {}: {source}", path.display())
             }
@@ -261,6 +271,43 @@ fn tight_period(dedicated: &TestableDie, placement: &Placement, library: &Librar
     critical * 1.005
 }
 
+/// The thresholds a flow runs with: the scenario's set, with overlapped
+/// cones off unless the method (or the ablation) allows them, and the
+/// slack and distance bounds lifted for the timing-blind baselines.
+/// `scale` is the placement's [`Placement::scale`].
+fn flow_thresholds(config: &FlowConfig, library: &Library, scale: Distance) -> Thresholds {
+    let mut thresholds = match config.scenario {
+        Scenario::Area => Thresholds::area_optimized(library),
+        Scenario::Tight => {
+            // d_th: a fifth of the die half-perimeter. s_th stays at zero:
+            // the calibrated clock already absorbs the dedicated-wrapper
+            // overhead, so any reuse whose *additional* penalty fits the
+            // remaining slack is safe.
+            let d_th = Distance(scale.0 * 0.4);
+            let mut th = Thresholds::performance_optimized(library, d_th);
+            // A small positive slack floor absorbs the model's wire/anchor
+            // approximations (the paper's s_th is likewise user-tuned).
+            th.s_th = Time(5.0);
+            th
+        }
+    };
+    let allow_overlap = config
+        .allow_overlap
+        .unwrap_or(matches!(config.method, Method::Ours));
+    if !allow_overlap {
+        thresholds = thresholds.without_overlap();
+    }
+    if matches!(config.method, Method::Agrawal | Method::Li) {
+        // The prior-art models know only pin capacitance: they have no
+        // slack or distance information to constrain themselves with, even
+        // when the scenario is timing-critical — that blindness is what
+        // Table III's violation column exposes.
+        thresholds.s_th = Time(f64::NEG_INFINITY);
+        thresholds.d_th = Distance(f64::INFINITY);
+    }
+    thresholds
+}
+
 /// Execute the flow.
 ///
 /// # Errors
@@ -332,35 +379,7 @@ pub fn run_flow_with_probe(
         (baseline_report, fanout_report)
     };
 
-    let mut thresholds = match config.scenario {
-        Scenario::Area => Thresholds::area_optimized(library),
-        Scenario::Tight => {
-            // d_th: a fifth of the die half-perimeter. s_th stays at zero:
-            // the calibrated clock already absorbs the dedicated-wrapper
-            // overhead, so any reuse whose *additional* penalty fits the
-            // remaining slack is safe.
-            let d_th = Distance(placement.scale().0 * 0.4);
-            let mut th = Thresholds::performance_optimized(library, d_th);
-            // A small positive slack floor absorbs the model's wire/anchor
-            // approximations (the paper's s_th is likewise user-tuned).
-            th.s_th = Time(5.0);
-            th
-        }
-    };
-    let allow_overlap = config
-        .allow_overlap
-        .unwrap_or(matches!(config.method, Method::Ours));
-    if !allow_overlap {
-        thresholds = thresholds.without_overlap();
-    }
-    if matches!(config.method, Method::Agrawal | Method::Li) {
-        // The prior-art models know only pin capacitance: they have no
-        // slack or distance information to constrain themselves with, even
-        // when the scenario is timing-critical — that blindness is what
-        // Table III's violation column exposes.
-        thresholds.s_th = Time(f64::NEG_INFINITY);
-        thresholds.d_th = Distance(f64::INFINITY);
-    }
+    let thresholds = flow_thresholds(config, library, placement.scale());
 
     // --- Method wiring ----------------------------------------------------
     let (include_wire, merge_policy, default_ordering) = match config.method {
@@ -653,5 +672,40 @@ mod tests {
         config.ordering = Some(OrderingPolicy::OutboundFirst);
         let r = run_flow(&die, &placement, &lib, &config).unwrap();
         assert_eq!(r.phases[0].direction, ReuseKind::Outbound);
+    }
+
+    /// The thresholds every flow configuration runs with are usable:
+    /// `cap_th` positive, `s_th` and `d_th` not NaN (the area scenario's
+    /// `s_th = −∞` and `d_th = +∞` mean "unconstrained"), `s_th` never
+    /// `+∞` (it would reject every reuse), `d_th` never negative, and
+    /// `cov_th` a fraction.
+    #[test]
+    fn flow_thresholds_are_sane_for_every_configuration() {
+        let lib = Library::nangate45_like();
+        for scenario in [Scenario::Area, Scenario::Tight] {
+            for method in [Method::Ours, Method::Agrawal, Method::Li, Method::Naive] {
+                for allow_overlap in [None, Some(false), Some(true)] {
+                    let config = FlowConfig {
+                        method,
+                        scenario,
+                        ordering: None,
+                        allow_overlap,
+                    };
+                    let th = flow_thresholds(&config, &lib, Distance(500.0));
+                    let what = format!("{method:?} {scenario:?} {allow_overlap:?}: {th:?}");
+                    assert!(th.cap_th.0 > 0.0, "{what}");
+                    assert!(!th.s_th.0.is_nan() && th.s_th.0 != f64::INFINITY, "{what}");
+                    assert!(th.d_th.0 >= 0.0, "{what}");
+                    assert!((0.0..=1.0).contains(&th.cov_th), "{what}");
+                }
+            }
+        }
+        let tight = flow_thresholds(
+            &FlowConfig::performance_optimized(Method::Ours),
+            &lib,
+            Distance(500.0),
+        );
+        assert_eq!((tight.d_th.0, tight.s_th.0), (200.0, 5.0));
+        assert!(tight.allows_overlap());
     }
 }

@@ -15,8 +15,7 @@
 //!   cell is unverifiable.
 //!
 //! [`check`] returns these findings in deterministic (ascending TSV id)
-//! order; the serve daemon uses it as a submit-time admission gate and
-//! the lint pass surfaces it as `P3805`.
+//! order; the serve daemon uses it as a submit-time admission gate.
 
 use prebond3d_netlist::{GateId, GateKind, Netlist};
 

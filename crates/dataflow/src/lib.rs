@@ -12,18 +12,17 @@
 //!    state elements and floating TSVs that pre-bond test cannot control.
 //! 3. **SCOAP scoring** ([`scoring`]): controllability and observability
 //!    costs per net in one levelized pass each way — the measures PODEM's
-//!    backtrace, the ATPG untestability pre-screen and the P3806 lint all
-//!    read.
+//!    backtrace and the ATPG untestability pre-screen read.
 //!
 //! [`boundary::check`] composes the analyses into the wrapper-boundary
-//! admission gate used by `prebond3d-serve` and the `P3805` lint.
+//! admission gate used by `prebond3d-serve`.
 //!
 //! ## Determinism
 //!
 //! Every analysis is a serial pass in the netlist's deterministic
 //! combinational order, so every fact vector is **byte-identical at any
-//! `PREBOND3D_THREADS`**. Downstream consumers (ATPG pruning, P38xx
-//! diagnostics, the serve gate) inherit that contract.
+//! `PREBOND3D_THREADS`**. Downstream consumers (ATPG pruning, the serve
+//! gate) inherit that contract.
 
 pub mod boundary;
 pub mod constprop;

@@ -7,9 +7,8 @@
 //! flip-flops) and unobservable sinks saturate at [`INF`], so the measures
 //! directly express pre-bond reachability.
 //!
-//! This is the one SCOAP of the tool-suite: the P3806 lint reads it under
-//! the full-scan [`AccessView::pre_bond`] view, and the ATPG engine reads
-//! it under a view built from its run's test access model — PODEM
+//! This is the one SCOAP of the tool-suite: the ATPG engine reads it
+//! under a view built from its run's test access model — PODEM
 //! backtrace guidance, the structural untestability pre-screen and the
 //! static pruning mask.
 //!

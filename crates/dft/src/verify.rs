@@ -203,6 +203,34 @@ mod tests {
         mission_equivalent(&original, &wrapped, 4, 9).expect("reuse wrapping is transparent");
     }
 
+    /// Corrupted mission logic is a divergence: flipping one AND/OR in
+    /// the wrapped die to NAND/NOR is seen at a functional sink.
+    #[test]
+    fn verifier_detects_corrupted_mission_logic() {
+        let original = die();
+        let wrapped = apply(&original, &WrapPlan::all_dedicated(&original)).unwrap();
+        let victims: Vec<usize> = wrapped
+            .netlist
+            .iter()
+            .filter(|(_, g)| matches!(g.kind, GateKind::And | GateKind::Or))
+            .map(|(id, _)| id.index())
+            .collect();
+        assert!(!victims.is_empty(), "die has no AND/OR gates to corrupt");
+        // A flip can sit in logic no sink observes under the sampled
+        // patterns, so at least one of the candidates must be caught.
+        let caught = victims.iter().any(|&v| {
+            let mut gates: Vec<_> = wrapped.netlist.iter().map(|(_, g)| g.clone()).collect();
+            gates[v].kind = match gates[v].kind {
+                GateKind::And => GateKind::Nand,
+                _ => GateKind::Nor,
+            };
+            let mut corrupted = wrapped.clone();
+            corrupted.netlist = Netlist::from_gates("corrupted", gates).unwrap();
+            mission_equivalent(&original, &corrupted, 4, 5).is_err()
+        });
+        assert!(caught, "no corrupted gate was detected");
+    }
+
     #[test]
     fn verifier_detects_test_mode_divergence() {
         // Negative control: force test_en = 1 by lying about the pin; the

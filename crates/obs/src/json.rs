@@ -386,6 +386,8 @@ mod tests {
         assert!(parse("{\"a\":}").is_err());
         assert!(parse("[1,2,]").is_err());
         assert!(parse("{} trailing").is_err());
+        // A run report cut off mid-write.
+        assert!(parse(r#"{"experiment":"x","elapsed_ms":1,"sections":["#).is_err());
     }
 
     #[test]

@@ -87,8 +87,9 @@ pub fn budget_ms() -> Option<u64> {
     }
 }
 
-/// Is a phase budget configured at all? (`lintflow` consults this to
-/// allow-list the timing violations a truncated search can leave behind.)
+/// Is a phase budget configured at all? (The bench harness's slack
+/// contract consults this to exempt the timing violations a truncated
+/// search can leave behind.)
 pub fn budget_armed() -> bool {
     budget_ms().is_some()
 }

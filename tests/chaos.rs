@@ -19,6 +19,9 @@
 //! Injection is deterministic per seed (`fnv1a(seed ‖ site ‖ call)`), so
 //! this suite is a regression test, not a flake generator.
 
+#[path = "schema_util/mod.rs"]
+mod schema_util;
+
 use std::collections::BTreeSet;
 use std::process::ExitCode;
 
@@ -30,6 +33,7 @@ use prebond3d_bench::{driver, report};
 use prebond3d_obs::json::{parse, Value};
 use prebond3d_pool::with_threads;
 use prebond3d_resilience::chaos;
+use schema_util::schema_lines;
 
 const SEEDS: u64 = 64;
 /// Per-call injection probability. High enough that every fault kind
@@ -90,47 +94,6 @@ fn run_units() -> Result<(), FlowError> {
     Ok(())
 }
 
-/// Reduce a JSON value to `path: type` lines — the same shape as the
-/// golden files (see `tests/report_schema.rs`; duplicated here because
-/// integration-test binaries cannot share a module without a helper
-/// crate, and the 30 lines are cheaper than the coupling).
-fn schema_lines(path: &str, v: &Value, out: &mut BTreeSet<String>) {
-    match v {
-        Value::Null => {
-            out.insert(format!("{path}: null"));
-        }
-        Value::Bool(_) => {
-            out.insert(format!("{path}: bool"));
-        }
-        Value::Num(_) => {
-            out.insert(format!("{path}: number"));
-        }
-        Value::Str(_) => {
-            out.insert(format!("{path}: string"));
-        }
-        Value::Arr(items) => {
-            out.insert(format!("{path}: array"));
-            for item in items {
-                schema_lines(&format!("{path}[]"), item, out);
-            }
-        }
-        Value::Obj(map) => {
-            if path.ends_with(".counters") || path.ends_with(".gauges") {
-                out.insert(format!("{path}: map<number>"));
-                return;
-            }
-            if path.ends_with(".hists") {
-                out.insert(format!("{path}: map<hist>"));
-                return;
-            }
-            out.insert(format!("{path}: object"));
-            for (k, v) in map {
-                schema_lines(&format!("{path}.{k}"), v, out);
-            }
-        }
-    }
-}
-
 #[test]
 fn seeded_chaos_sweep_never_escapes_and_accounts_for_every_fault() {
     let base = std::env::temp_dir().join(format!("prebond3d-chaos-{}", std::process::id()));
@@ -172,9 +135,7 @@ fn seeded_chaos_sweep_never_escapes_and_accounts_for_every_fault() {
         };
         let doc = parse(&text).unwrap_or_else(|e| panic!("seed {seed}: report unparsable: {e}"));
 
-        let mut lines = BTreeSet::new();
-        schema_lines("$", &doc, &mut lines);
-        for line in &lines {
+        for line in &schema_lines(&doc) {
             assert!(
                 golden.contains(line),
                 "seed {seed}: report field outside the golden schema: {line}"

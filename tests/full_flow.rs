@@ -136,3 +136,38 @@ fn dft_insertion_preserves_mission_behaviour() {
             .unwrap_or_else(|m| panic!("{method:?}: {m}"));
     }
 }
+
+/// A wrapped inbound TSV floats pre-bond, so in the testable die it must
+/// feed only its `wrapmux__` mux: any other consumer would read floating
+/// data in test mode and bypass the wrapper cell.
+#[test]
+fn wrapped_inbound_tsvs_feed_only_their_mux() {
+    for die in 0..4 {
+        let (netlist, placement, lib) = b11_die(die);
+        for method in [Method::Ours, Method::Agrawal, Method::Li, Method::Naive] {
+            for scenario in [Scenario::Area, Scenario::Tight] {
+                let config = FlowConfig {
+                    method,
+                    scenario,
+                    ordering: None,
+                    allow_overlap: None,
+                };
+                let r = run_flow(&netlist, &placement, &lib, &config).expect("flow runs");
+                let testable = &r.testable.netlist;
+                for tsv in netlist.inbound_tsvs() {
+                    let name = &netlist.gate(tsv).name;
+                    let mux = testable
+                        .find(&format!("wrapmux__{name}"))
+                        .unwrap_or_else(|| {
+                            panic!("b11 die{die} {method:?} {scenario:?}: {name} has no mux")
+                        });
+                    assert_eq!(
+                        testable.fanout(tsv),
+                        [mux],
+                        "b11 die{die} {method:?} {scenario:?}: {name} feeds more than its mux"
+                    );
+                }
+            }
+        }
+    }
+}

@@ -9,19 +9,23 @@
 //! files in `tests/golden/`. Downstream tooling parses these reports;
 //! changing a field name or type must be a conscious, reviewed act.
 
+#[path = "schema_util/mod.rs"]
+mod schema_util;
+
+use std::collections::BTreeSet;
+
 use prebond3d_bench::report;
-use prebond3d_lint::schema;
 use prebond3d_obs as obs;
 use prebond3d_obs::json::{parse, Value};
 use prebond3d_resilience::{chaos, degrade};
+use schema_util::schema_lines;
 
-/// The sorted `path: type` reduction the lint report pass validates
-/// against (`prebond3d_lint::schema`), one line per distinct field. A
-/// non-numeric counter or malformed histogram surfaces as an extra line,
-/// so the golden comparison fails on it.
+/// The sorted `path: type` reduction of a report, one line per distinct
+/// field. A non-numeric counter or malformed histogram surfaces as an
+/// extra line, so the golden comparison fails on it.
 fn schema_of(text: &str) -> String {
     let doc = parse(text).expect("report parses as JSON");
-    let mut s = schema::schema_lines(&doc)
+    let mut s = schema_lines(&doc)
         .into_iter()
         .collect::<Vec<_>>()
         .join("\n");
@@ -116,4 +120,40 @@ fn report_files_match_the_golden_schemas() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn lines(doc: &str) -> BTreeSet<String> {
+    schema_lines(&parse(doc).expect("test document parses"))
+}
+
+#[test]
+fn reduction_matches_expected_lines() {
+    let expect: BTreeSet<String> = [
+        "$: object",
+        "$.a: number",
+        "$.b: array",
+        "$.b[]: object",
+        "$.b[].c: string",
+        "$.counters: map<number>",
+    ]
+    .into_iter()
+    .map(str::to_string)
+    .collect();
+    assert_eq!(
+        lines(r#"{"a":1,"b":[{"c":"x"},{"c":"y"}],"counters":{"k":2}}"#),
+        expect
+    );
+}
+
+#[test]
+fn malformed_metrics_surface_as_extra_lines() {
+    let hists = lines(
+        r#"{"hists":{"flow":{"count":1,"sum":2,"max":2,"p50":2,"p95":2,"p99":2},
+                     "bad":{"count":1}}}"#,
+    );
+    assert!(hists.contains("$.hists: map<hist>"));
+    // The well-formed entry stays collapsed, the malformed one surfaces.
+    assert!(!hists.iter().any(|l| l.starts_with("$.hists.flow")));
+    assert!(hists.contains("$.hists.bad: object"));
+    assert!(lines(r#"{"counters":{"bad":"oops"}}"#).contains("$.counters.bad: string"));
 }

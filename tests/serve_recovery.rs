@@ -295,7 +295,7 @@ fn budget_ms_degrades_to_best_so_far_over_the_wire() {
 
 /// A job rejected by the static admission gate (code 1) must itemize
 /// the boundary issues on the wire, so the client learns *why* the die
-/// is untestable without running lint locally.
+/// is untestable without running the dataflow analysis itself.
 #[test]
 fn rejected_job_done_frame_carries_the_boundary_issues() {
     use prebond3d_netlist::{GateKind, NetlistBuilder};
