@@ -29,8 +29,6 @@
 //!   lane exactly as its own walk would: nodes a lane reconverged at carry
 //!   that lane's good value in the stamped overlay.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use prebond3d_netlist::Netlist;
 use prebond3d_pool as pool;
 
@@ -91,18 +89,24 @@ enum NeedSpec<'a> {
     PerFault(&'a [u64]),
 }
 
-/// Cumulative lane-occupancy accounting behind the `atpg.lane_fill_pct`
-/// gauge: pattern slots actually filled vs. slots the chosen lane widths
-/// could have carried (wasted tail-lane bits are the difference).
-static LANE_SLOTS_USED: AtomicU64 = AtomicU64::new(0);
-static LANE_SLOTS_CAPACITY: AtomicU64 = AtomicU64::new(0);
+/// Lane-occupancy accounting behind the `atpg.lane_fill_pct` gauge:
+/// pattern slots actually filled vs. slots the chosen lane widths could
+/// have carried (wasted tail-lane bits are the difference), over the
+/// batches of one [`FaultSimulator`], so the gauge does not depend on what
+/// other simulators ran meanwhile.
+#[derive(Debug, Default)]
+struct LaneFill {
+    used: u64,
+    capacity: u64,
+}
 
-fn record_lane_fill(patterns: usize, width: usize) {
-    let used = LANE_SLOTS_USED.fetch_add(patterns as u64, Ordering::Relaxed) + patterns as u64;
-    let cap =
-        LANE_SLOTS_CAPACITY.fetch_add(width as u64 * 64, Ordering::Relaxed) + width as u64 * 64;
-    if let Some(pct) = (used * 100).checked_div(cap) {
-        prebond3d_obs::gauge("atpg.lane_fill_pct", pct);
+impl LaneFill {
+    fn record(&mut self, patterns: usize, width: usize) {
+        self.used += patterns as u64;
+        self.capacity += width as u64 * 64;
+        if let Some(pct) = (self.used * 100).checked_div(self.capacity) {
+            prebond3d_obs::gauge("atpg.lane_fill_pct", pct);
+        }
     }
 }
 
@@ -119,6 +123,7 @@ pub struct FaultSimulator {
     /// (flat, fault-major/lane-minor: slot `f * W + l` is fault `f`,
     /// block `l`); batch entry points return a borrowed view of it.
     masks: Vec<u64>,
+    lane_fill: LaneFill,
 }
 
 impl FaultSimulator {
@@ -130,6 +135,7 @@ impl FaultSimulator {
             overlay4: None,
             overlay8: None,
             masks: Vec::new(),
+            lane_fill: LaneFill::default(),
         }
     }
 
@@ -271,25 +277,26 @@ impl FaultSimulator {
             overlay4,
             overlay8,
             masks,
+            lane_fill,
         } = self;
         match blocks {
             0 | 1 => {
                 batch_masks::<1>(
-                    sim, overlay1, masks, netlist, access, patterns, faults, alive, spec,
+                    sim, overlay1, masks, lane_fill, netlist, access, patterns, faults, alive, spec,
                 )?;
                 Ok((1, &*masks))
             }
             2..=4 => {
                 let overlay = overlay4.get_or_insert_with(|| Overlay::new(netlist.len()));
                 batch_masks::<4>(
-                    sim, overlay, masks, netlist, access, patterns, faults, alive, spec,
+                    sim, overlay, masks, lane_fill, netlist, access, patterns, faults, alive, spec,
                 )?;
                 Ok((4, &*masks))
             }
             5..=8 => {
                 let overlay = overlay8.get_or_insert_with(|| Overlay::new(netlist.len()));
                 batch_masks::<8>(
-                    sim, overlay, masks, netlist, access, patterns, faults, alive, spec,
+                    sim, overlay, masks, lane_fill, netlist, access, patterns, faults, alive, spec,
                 )?;
                 Ok((8, &*masks))
             }
@@ -315,6 +322,7 @@ fn batch_masks<const W: usize>(
     sim: &Simulator,
     overlay: &mut Overlay<W>,
     out: &mut Vec<u64>,
+    lane_fill: &mut LaneFill,
     netlist: &Netlist,
     access: &TestAccess,
     patterns: &[Pattern],
@@ -326,7 +334,7 @@ fn batch_masks<const W: usize>(
     prebond3d_obs::count("atpg.faultsim_batches", 1);
     // One physical batch of up to W logical 64-pattern blocks.
     prebond3d_obs::count("atpg.pattern_batches", 1);
-    record_lane_fill(patterns.len(), W);
+    lane_fill.record(patterns.len(), W);
     // One histogram sample per batch call: the sample *count* is the
     // batch count (thread-invariant); only the latency values are
     // wall-clock and get zeroed under PREBOND3D_STABLE_MS.
@@ -764,6 +772,30 @@ mod tests {
                 assert_eq!(wide[fi * w + block], m, "fault {fi} block {block}");
             }
         }
+    }
+
+    /// `atpg.lane_fill_pct` covers one simulator's batches: a full
+    /// 512-pattern batch on another simulator does not move it.
+    #[test]
+    fn lane_fill_gauge_counts_only_its_own_simulator() {
+        let die = itc99::generate_flat("d", 120, 8, 4, 4, 3);
+        let acc = TestAccess::full_scan(&die);
+        let list = FaultList::collapsed(&die);
+        let alive = vec![true; list.len()];
+        let pattern = Pattern {
+            bits: vec![true; acc.width()],
+        };
+        let mut sims = [FaultSimulator::new(&die), FaultSimulator::new(&die)];
+        let ((), snap) = prebond3d_obs::capture_recorded(|| {
+            for (s, n) in [(0, 100), (1, 512), (0, 64)] {
+                let ps = vec![pattern.clone(); n];
+                sims[s]
+                    .simulate_batch_wide(&die, &acc, &ps, &list.faults, &alive)
+                    .unwrap();
+            }
+        });
+        // 164 patterns in a 4-lane and a 1-lane batch: 164 / 320 slots.
+        assert_eq!(snap.gauge("atpg.lane_fill_pct"), Some(51));
     }
 
     #[test]

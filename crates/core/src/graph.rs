@@ -170,7 +170,7 @@ pub fn build(
             // disjointness rule (correlated test values across two TSV
             // fanouts compound, and admitting them mostly destabilizes
             // the clique heuristic).
-            let overlapped = cones_ref.cones_overlap(a, b);
+            let overlapped = cones_ref.cones_overlap_at(i, j);
             let ff_pair = kinds_ref[i] == NodeKind::ScanFf || kinds_ref[j] == NodeKind::ScanFf;
             let admit = if !overlapped {
                 true

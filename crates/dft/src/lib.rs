@@ -1,8 +1,8 @@
 //! # prebond3d-dft
 //!
-//! Design-for-testability substrate: scan insertion, TSV wrapper-cell
-//! hardware (the paper's Fig. 2 and Fig. 3), and testable-netlist
-//! generation from a wrapper-assignment plan.
+//! Design-for-testability substrate: TSV wrapper-cell hardware (the
+//! paper's Fig. 2 and Fig. 3) and testable-netlist generation from a
+//! wrapper-assignment plan.
 //!
 //! The central artifact is the [`WrapPlan`]: for every wrapper cell (a
 //! reused scan flip-flop per Fig. 3, or a dedicated cell per Fig. 2) it
@@ -33,13 +33,11 @@
 //! ```
 
 pub mod prebond;
-pub mod scan;
 pub mod testable;
 pub mod verify;
 pub mod wrapper;
 
 pub use prebond::{postbond_access, prebond_access};
-pub use scan::{insert_scan, ScanChain};
 pub use testable::{apply, TestableDie};
 pub use verify::mission_equivalent;
 pub use wrapper::{WrapAssignment, WrapPlan, WrapperSource};

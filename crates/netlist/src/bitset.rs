@@ -44,6 +44,11 @@ impl BitSet {
         fresh
     }
 
+    /// The backing words, for whole-word writes inside the crate.
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     /// Remove `index`; returns `true` if it was present.
     #[inline]
     pub fn remove(&mut self, index: usize) -> bool {

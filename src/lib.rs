@@ -14,7 +14,7 @@
 //!   substitute),
 //! * [`dataflow`] — fixpoint static analysis (ternary constant/X
 //!   propagation, SCOAP testability, untestable-boundary checks),
-//! * [`dft`] — scan insertion and wrapper-cell hardware,
+//! * [`dft`] — wrapper-cell hardware and testable-netlist generation,
 //! * [`wcm`] — the paper's contribution: timing-aware wrapper-cell
 //!   minimization via clique partitioning, plus all prior-art baselines.
 //!
