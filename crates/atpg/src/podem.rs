@@ -19,7 +19,7 @@
 //! pass.
 
 use prebond3d_dataflow::scoring::{Scores, INF};
-use prebond3d_netlist::{eval_v3, traverse, Csr, GateId, GateKind, Netlist, V3};
+use prebond3d_netlist::{eval_v3, Csr, GateId, GateKind, Netlist, V3};
 use prebond3d_obs as obs;
 use prebond3d_resilience::Deadline;
 
@@ -73,7 +73,6 @@ pub struct Podem<'a> {
     netlist: &'a Netlist,
     access: &'a TestAccess,
     scoap: &'a Scores,
-    order: Vec<GateId>,
     /// Each gate's fanout, less the sequential gates: those are sources,
     /// whose value is the assignment's rather than their input's.
     fanout: Csr,
@@ -116,14 +115,13 @@ impl<'a> Podem<'a> {
             netlist,
             access,
             scoap,
-            order: traverse::combinational_order(netlist),
             fanout: Csr::from_arcs(netlist.len(), &arcs),
             config,
             good: vec![V3::X; netlist.len()],
             faulty: vec![V3::X; netlist.len()],
             pi_values: vec![V3::X; access.width()],
             full_pass_due: true,
-            events: Events::new(traverse::levels(netlist)),
+            events: Events::new(netlist.levels()),
             cone: Vec::new(),
             frontier: Vec::new(),
             in_cone: Marks::new(netlist.len()),
@@ -259,10 +257,11 @@ impl<'a> Podem<'a> {
         self.implications += 1;
         if std::mem::take(&mut self.full_pass_due) {
             self.events.clear();
-            for pos in 0..self.order.len() {
-                self.eval_gate(self.order[pos], fault);
+            let order = self.netlist.order();
+            for &id in order {
+                self.eval_gate(id, fault);
             }
-            self.evals += self.order.len() as u64;
+            self.evals += order.len() as u64;
         } else {
             let mut level = 0;
             while self.events.pending > 0 {
@@ -340,7 +339,7 @@ impl<'a> Podem<'a> {
     fn assert_matches_full_pass(&self, fault: Option<Fault>) {
         let mut good = vec![V3::X; self.netlist.len()];
         let mut faulty = vec![V3::X; self.netlist.len()];
-        for &id in &self.order {
+        for &id in self.netlist.order() {
             let (g, f) = self.gate_values(id, fault, &good, &faulty);
             good[id.index()] = g;
             faulty[id.index()] = f;

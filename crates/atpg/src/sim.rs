@@ -12,7 +12,7 @@
 use std::fmt;
 use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, Not};
 
-use prebond3d_netlist::{traverse, GateId, GateKind, Netlist, V3};
+use prebond3d_netlist::{GateId, GateKind, Netlist, V3};
 
 use crate::access::TestAccess;
 
@@ -286,7 +286,7 @@ pub struct Simulator {
 impl Simulator {
     /// Prepare for `netlist`.
     pub fn new(netlist: &Netlist) -> Self {
-        let order = traverse::combinational_order(netlist);
+        let order = netlist.order();
         let mut rank = vec![0u32; netlist.len()];
         for (r, id) in order.iter().enumerate() {
             rank[id.index()] = r as u32;
@@ -294,7 +294,7 @@ impl Simulator {
         let mut gates = Vec::with_capacity(order.len());
         let mut fanout_start = Vec::with_capacity(order.len() + 1);
         let mut fanout = Vec::new();
-        for &id in &order {
+        for &id in order {
             let gate = netlist.gate(id);
             let mut inputs = [0u32; 3];
             for (slot, i) in inputs.iter_mut().zip(&gate.inputs) {

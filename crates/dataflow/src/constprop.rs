@@ -14,11 +14,10 @@
 //!   are `{0,1}` (they *will* receive a wrapper cell), which is the right
 //!   view for judging whether a wrapper boundary is testable at all.
 //!
-//! Custom models ([`SourceModel::with_source`]) let the ATPG layer mirror
+//! Custom models ([`SourceModel::set_source`]) let the ATPG layer mirror
 //! its exact `TestAccess` — including pinned nodes — so the derived facts
 //! are sound for the very patterns the engine simulates.
 
-use prebond3d_netlist::traverse::combinational_order;
 use prebond3d_netlist::{GateId, GateKind, Netlist};
 
 use crate::lattice::{eval_set, ValueSet};
@@ -63,19 +62,8 @@ impl SourceModel {
     /// custom access models). Constants cannot be overridden — the
     /// simulator reasserts them on every evaluation — and overrides of
     /// combinational nets are ignored for the same reason.
-    pub fn with_source(mut self, id: GateId, set: ValueSet) -> SourceModel {
-        self.set_source(id, set);
-        self
-    }
-
-    /// In-place variant of [`Self::with_source`].
     pub fn set_source(&mut self, id: GateId, set: ValueSet) {
         self.sets[id.index()] = set;
-    }
-
-    /// The modeled value of a source net.
-    pub fn source(&self, id: GateId) -> ValueSet {
-        self.sets[id.index()]
     }
 }
 
@@ -93,7 +81,7 @@ impl Constants {
     /// and the pass computes its unique fixpoint.
     pub fn compute(netlist: &Netlist, model: &SourceModel) -> Constants {
         let mut sets = model.sets.clone();
-        for id in combinational_order(netlist) {
+        for &id in netlist.order() {
             let gate = netlist.gate(id);
             sets[id.index()] = match gate.kind {
                 // Constants always win, matching the simulator's evaluation
@@ -118,36 +106,6 @@ impl Constants {
     pub fn set(&self, id: GateId) -> ValueSet {
         self.sets[id.index()]
     }
-
-    /// `Some(v)` when the net provably carries constant `v`.
-    pub fn is_constant(&self, id: GateId) -> Option<bool> {
-        self.sets[id.index()].is_constant()
-    }
-
-    /// The net is X on every pattern.
-    pub fn is_x_only(&self, id: GateId) -> bool {
-        self.sets[id.index()].is_x_only()
-    }
-
-    /// Derived-constant nets: combinational gates whose output is provably
-    /// constant (explicit `Const0`/`Const1` cells are by definition
-    /// constant and excluded). These are the dead gates of the netlist —
-    /// their logic can never toggle under the modeled access.
-    pub fn derived_constants(&self, netlist: &Netlist) -> Vec<(GateId, bool)> {
-        netlist
-            .iter()
-            .filter(|(_, g)| {
-                g.kind.is_combinational() && !matches!(g.kind, GateKind::Output | GateKind::TsvOut)
-            })
-            .filter_map(|(id, _)| self.is_constant(id).map(|v| (id, v)))
-            .collect()
-    }
-
-    /// Nets that are X on every pattern: the cones pre-bond test cannot
-    /// control. Source nets modeled as X (the roots) are included.
-    pub fn x_only_nets(&self, netlist: &Netlist) -> Vec<GateId> {
-        netlist.ids().filter(|&id| self.is_x_only(id)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -165,11 +123,9 @@ mod tests {
         b.output(h, "o");
         let n = b.finish().unwrap();
         let consts = Constants::compute(&n, &SourceModel::pre_bond(&n));
-        assert_eq!(consts.is_constant(g), Some(false));
-        assert_eq!(consts.is_constant(h), Some(true));
-        assert_eq!(consts.is_constant(a), None);
-        let dead = consts.derived_constants(&n);
-        assert_eq!(dead, vec![(g, false), (h, true)]);
+        assert_eq!(consts.set(g).is_constant(), Some(false));
+        assert_eq!(consts.set(h).is_constant(), Some(true));
+        assert_eq!(consts.set(a).is_constant(), None);
     }
 
     #[test]
@@ -182,12 +138,12 @@ mod tests {
         b.output(h, "o");
         let n = b.finish().unwrap();
         let consts = Constants::compute(&n, &SourceModel::pre_bond(&n));
-        assert!(consts.is_x_only(g));
-        assert!(!consts.is_x_only(h));
+        assert!(consts.set(ti).is_x_only());
+        assert!(consts.set(g).is_x_only());
+        assert!(!consts.set(h).is_x_only());
         assert!(consts.set(h).contains_x());
         assert!(consts.set(h).contains(false));
         assert!(!consts.set(h).contains(true));
-        assert_eq!(consts.x_only_nets(&n), vec![ti, g]);
     }
 
     #[test]
@@ -198,7 +154,7 @@ mod tests {
         b.tsv_out(g, "to");
         let n = b.finish().unwrap();
         let pre = Constants::compute(&n, &SourceModel::pre_bond(&n));
-        assert!(pre.is_x_only(g));
+        assert!(pre.set(g).is_x_only());
         let wrapped = Constants::compute(&n, &SourceModel::assume_wrapped(&n));
         assert_eq!(wrapped.set(g), ValueSet::BOOL);
     }
@@ -211,12 +167,14 @@ mod tests {
         let g = b.gate(GateKind::And, &[en, a], "g");
         b.output(g, "o");
         let n = b.finish().unwrap();
-        let model = SourceModel::pre_bond(&n).with_source(en, ValueSet::ONE);
-        let consts = Constants::compute(&n, &model);
+        let mut model = SourceModel::pre_bond(&n);
+        model.set_source(en, ValueSet::ONE);
         // en pinned to 1 → g ≡ a.
-        assert_eq!(consts.set(g), ValueSet::BOOL);
-        let model0 = SourceModel::pre_bond(&n).with_source(en, ValueSet::ZERO);
-        let consts0 = Constants::compute(&n, &model0);
-        assert_eq!(consts0.is_constant(g), Some(false));
+        assert_eq!(Constants::compute(&n, &model).set(g), ValueSet::BOOL);
+        model.set_source(en, ValueSet::ZERO);
+        assert_eq!(
+            Constants::compute(&n, &model).set(g).is_constant(),
+            Some(false)
+        );
     }
 }

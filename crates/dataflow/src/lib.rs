@@ -4,12 +4,13 @@
 //! flow consumes (DESIGN.md §14):
 //!
 //! 1. **Ternary constant propagation** ([`constprop`]) on the value-set
-//!    lattice `℘({0,1,X})`, one topological pass: flags provably-constant
-//!    nets, dead gates, and — combined with [`reach`] — provably-untestable
-//!    stuck-at faults.
-//! 2. **X-propagation** (the same pass, read through
-//!    [`constprop::Constants::x_only_nets`]): cones dominated by unscanned
-//!    state elements and floating TSVs that pre-bond test cannot control.
+//!    lattice `℘({0,1,X})`, one pass in the netlist's combinational order
+//!    ([`Netlist::order`](prebond3d_netlist::Netlist::order)): flags
+//!    provably-constant nets, dead gates, and — combined with [`reach`] —
+//!    provably-untestable stuck-at faults.
+//! 2. **X-propagation** (the same pass: a net whose value set is `{X}`,
+//!    [`ValueSet::is_x_only`]): cones dominated by unscanned state
+//!    elements and floating TSVs that pre-bond test cannot control.
 //! 3. **SCOAP scoring** ([`scoring`]): controllability and observability
 //!    costs per net in one levelized pass each way — the measures PODEM's
 //!    backtrace and the ATPG untestability pre-screen read.
@@ -34,40 +35,3 @@ pub use boundary::BoundaryIssue;
 pub use constprop::{Constants, SourceModel};
 pub use lattice::{eval_set, ValueSet};
 pub use scoring::{AccessView, Scores};
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use prebond3d_netlist::itc99;
-    use prebond3d_pool as pool;
-
-    /// The headline determinism contract: every analysis produces
-    /// byte-identical results at any thread count.
-    #[test]
-    fn analyses_are_byte_identical_across_thread_counts() {
-        let spec = itc99::DieSpec {
-            name: "df".into(),
-            scan_flip_flops: 16,
-            gates: 400,
-            inbound_tsvs: 8,
-            outbound_tsvs: 8,
-            primary_inputs: 5,
-            primary_outputs: 5,
-            seed: 0xD47A,
-        };
-        let die = itc99::generate_die(&spec);
-        let run = || {
-            let consts = Constants::compute(&die, &SourceModel::pre_bond(&die));
-            let scores = Scores::compute(&die, &AccessView::pre_bond(&die));
-            let issues = boundary::check(&die);
-            (consts, scores, issues)
-        };
-        let base = pool::with_threads(1, run);
-        for t in [4, 8] {
-            let got = pool::with_threads(t, run);
-            assert_eq!(got.0, base.0, "constprop differs at {t} threads");
-            assert_eq!(got.1, base.1, "scoring differs at {t} threads");
-            assert_eq!(got.2, base.2, "boundary differs at {t} threads");
-        }
-    }
-}

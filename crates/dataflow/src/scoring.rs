@@ -36,7 +36,9 @@ pub struct AccessView {
 
 impl AccessView {
     /// Full-scan pre-bond access: `Input`/`ScanDff`/`Wrapper` control;
-    /// drivers of `Output`/`ScanDff`/`Wrapper` observe.
+    /// drivers of `Output`/`ScanDff`/`Wrapper` observe. The pipeline builds
+    /// its view from the ATPG run's access model instead.
+    #[cfg(test)]
     pub fn pre_bond(netlist: &Netlist) -> AccessView {
         let n = netlist.len();
         let mut controllable = vec![false; n];
@@ -77,12 +79,12 @@ impl Scores {
     /// Compute all three measures under `access`.
     pub fn compute(netlist: &Netlist, access: &AccessView) -> Scores {
         let n = netlist.len();
-        let order = prebond3d_netlist::traverse::combinational_order(netlist);
+        let order = netlist.order();
         let mut cc0 = vec![INF; n];
         let mut cc1 = vec![INF; n];
 
         // --- Controllability (forward) --------------------------------
-        for &id in &order {
+        for &id in order {
             let gate = netlist.gate(id);
             let i = id.index();
             if gate.kind.is_source() {

@@ -86,9 +86,10 @@ fn bit_parallel_cones(netlist: &Netlist, roots: &[GateId]) -> (Vec<BitSet>, Vec<
     // Every combinational gate comes after its drivers. Sequential gates
     // depend only on combinational words and on their own bit (they are
     // both sinks and sources), so they go last in both passes.
-    let (comb, seq): (Vec<GateId>, Vec<GateId>) = crate::traverse::combinational_order(netlist)
-        .into_iter()
-        .partition(|&g| !netlist.gate(g).kind.is_sequential());
+    let order = netlist.order();
+    let is_seq = |g: &GateId| netlist.gate(*g).kind.is_sequential();
+    let comb = || order.iter().filter(move |g| !is_seq(g));
+    let seq = || order.iter().filter(move |g| is_seq(g));
     // A word per gate, padded to whole 64-gate blocks for the transpose.
     let words = n.div_ceil(64) * 64;
     let (mut own, mut fi, mut fo) = (vec![0u64; words], vec![0u64; words], vec![0u64; words]);
@@ -101,7 +102,7 @@ fn bit_parallel_cones(netlist: &Netlist, roots: &[GateId]) -> (Vec<BitSet>, Vec<
             own[root.index()] |= 1 << k;
         }
         pass.copy_from_slice(&own);
-        for &g in comb.iter().chain(&seq) {
+        for &g in comb().chain(seq()) {
             let gate = netlist.gate(g);
             let w = gate
                 .inputs
@@ -113,7 +114,7 @@ fn bit_parallel_cones(netlist: &Netlist, roots: &[GateId]) -> (Vec<BitSet>, Vec<
             }
         }
         pass.copy_from_slice(&own);
-        for &g in comb.iter().rev().chain(&seq) {
+        for &g in comb().rev().chain(seq()) {
             let fanout = netlist.fanout(g).iter();
             let w = fanout.fold(own[g.index()], |w, &f| w | pass[f.index()]);
             fi[g.index()] = w;
@@ -428,7 +429,7 @@ mod tests {
     /// flip-flop and drives the second scan flip-flop's D directly, so
     /// flip-flops feed flip-flops in both id orders.
     fn wrapped(die: &Netlist) -> Netlist {
-        let mut gates = die.clone().into_gates();
+        let mut gates: Vec<Gate> = die.iter().map(|(_, g)| g.clone()).collect();
         let push = |gates: &mut Vec<Gate>, kind, inputs: Vec<GateId>| {
             gates.push(Gate::new(format!("w{}", gates.len()), kind, inputs));
             GateId(gates.len() as u32 - 1)

@@ -11,10 +11,12 @@
 //! simulator, ATPG engine and static timing analyzer can traverse uniformly.
 //!
 //! Sequential elements ([`GateKind::Dff`] / [`GateKind::ScanDff`]) act as
-//! combinational boundaries: combinational traversal
-//! ([`traverse::combinational_order`]) treats a flip-flop's output as a
-//! pseudo primary input and its input as a pseudo primary output, which is
-//! exactly the full-scan view the paper's flow assumes.
+//! combinational boundaries: the combinational order a [`Netlist`]
+//! validates once and owns ([`Netlist::order`]) treats a flip-flop's output
+//! as a pseudo primary input and its input as a pseudo primary output,
+//! which is exactly the full-scan view the paper's flow assumes. Every
+//! pass (simulation, PODEM, STA, SCOAP, constant propagation, cones)
+//! borrows that order and the netlist's fanout ([`Netlist::fanout`]).
 //!
 //! # Example
 //!
@@ -43,7 +45,6 @@ pub mod itc99;
 pub mod logic;
 pub mod netlist;
 pub mod stats;
-pub mod traverse;
 
 pub use bitset::BitSet;
 pub use builder::NetlistBuilder;

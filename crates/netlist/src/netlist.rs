@@ -1,6 +1,8 @@
-//! The netlist container: a validated single-output gate DAG.
+//! The netlist container: a validated single-output gate DAG that owns its
+//! topology (fanout and combinational order).
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 use crate::error::NetlistError;
 use crate::gate::{Gate, GateId, GateKind};
@@ -15,12 +17,19 @@ use crate::stats::NetlistStats;
 /// * all input references resolve and point at driving kinds,
 /// * instance names are unique,
 /// * the combinational subgraph is acyclic.
+///
+/// Validation leaves two facts every pass borrows: the fanout of each gate
+/// ([`Self::fanout`]) and the combinational order ([`Self::order`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Netlist {
     name: String,
     gates: Vec<Gate>,
-    /// Fan-out adjacency: for each gate, the gates that consume its output.
-    fanouts: Vec<Vec<GateId>>,
+    /// Fan-out CSR: the consumers of gate `i` are
+    /// `fanout[fanout_start[i]..fanout_start[i + 1]]`, in ascending id order.
+    fanout_start: Vec<u32>,
+    fanout: Vec<GateId>,
+    /// Every gate once, each combinational gate after its drivers.
+    order: Vec<GateId>,
     name_index: HashMap<String, GateId>,
 }
 
@@ -49,8 +58,8 @@ impl Netlist {
                 return Err(NetlistError::DuplicateName(gate.name.clone()));
             }
         }
-        let mut fanouts: Vec<Vec<GateId>> = vec![Vec::new(); gates.len()];
-        for (i, gate) in gates.iter().enumerate() {
+        let mut fanout_start = vec![0u32; gates.len() + 1];
+        for gate in &gates {
             for &input in &gate.inputs {
                 let driver = gates
                     .get(input.index())
@@ -64,62 +73,87 @@ impl Netlist {
                         driver: driver.name.clone(),
                     });
                 }
-                fanouts[input.index()].push(GateId(i as u32));
+                fanout_start[input.index() + 1] += 1;
             }
         }
-        let netlist = Netlist {
+        for i in 1..fanout_start.len() {
+            fanout_start[i] += fanout_start[i - 1];
+        }
+        // Filling in consumer id order keeps each slice ascending.
+        let mut fanout = vec![GateId(0); fanout_start[gates.len()] as usize];
+        let mut cursor = fanout_start[..gates.len()].to_vec();
+        for (i, gate) in gates.iter().enumerate() {
+            for &input in &gate.inputs {
+                let slot = &mut cursor[input.index()];
+                fanout[*slot as usize] = GateId(i as u32);
+                *slot += 1;
+            }
+        }
+        let mut netlist = Netlist {
             name,
             gates,
-            fanouts,
+            fanout_start,
+            fanout,
+            order: Vec::new(),
             name_index,
         };
-        netlist.check_acyclic()?;
+        netlist.order = netlist.combinational_order()?;
         Ok(netlist)
     }
 
-    /// Kahn's algorithm over combinational edges only; sequential outputs
-    /// are sources so flip-flop "loops" are legal.
-    fn check_acyclic(&self) -> Result<(), NetlistError> {
-        // Indegree of a combinational gate = #inputs. Sequential gates have
-        // edges INTO them, but we cut edges OUT of them by treating their
-        // outputs as sources, so flip-flop feedback is legal.
-        let mut indeg = vec![0usize; self.gates.len()];
-        for (i, gate) in self.gates.iter().enumerate() {
-            if gate.kind.is_sequential() || gate.kind.arity() == 0 {
-                indeg[i] = 0;
-            } else {
-                indeg[i] = gate.inputs.len();
-            }
-        }
-        let mut queue: Vec<usize> = indeg
+    /// Kahn's algorithm over combinational edges only, taking the smallest
+    /// ready id first so the order is deterministic. Sequential outputs are
+    /// sources, so flip-flop "loops" are legal; a gate left unordered lies
+    /// on or behind a combinational cycle.
+    fn combinational_order(&self) -> Result<Vec<GateId>, NetlistError> {
+        let n = self.gates.len();
+        let mut indeg: Vec<usize> = self
+            .gates
             .iter()
-            .enumerate()
-            .filter(|(_, &d)| d == 0)
-            .map(|(i, _)| i)
+            .map(|g| {
+                if g.kind.is_source() {
+                    0
+                } else {
+                    g.inputs.len()
+                }
+            })
             .collect();
-        let mut seen = 0usize;
-        while let Some(i) = queue.pop() {
-            seen += 1;
-            for &fo in &self.fanouts[i] {
+        let mut ready: BinaryHeap<Reverse<usize>> =
+            (0..n).filter(|&i| indeg[i] == 0).map(Reverse).collect();
+        let mut order = Vec::with_capacity(n);
+        while let Some(Reverse(i)) = ready.pop() {
+            order.push(GateId(i as u32));
+            for &fo in self.fanout(GateId(i as u32)) {
                 let j = fo.index();
                 if self.gates[j].kind.is_sequential() {
                     continue;
                 }
                 indeg[j] -= 1;
                 if indeg[j] == 0 {
-                    queue.push(j);
+                    ready.push(Reverse(j));
                 }
             }
         }
-        if seen != self.gates.len() {
-            let culprit = indeg
-                .iter()
-                .position(|&d| d > 0)
-                .map(|i| self.gates[i].name.clone())
-                .unwrap_or_default();
-            return Err(NetlistError::CombinationalCycle(culprit));
+        if order.len() == n {
+            return Ok(order);
         }
-        Ok(())
+        // An unordered gate has an unordered input, so following those
+        // from any unordered gate must revisit one: that gate is on a cycle.
+        let mut seen = vec![false; n];
+        let mut i = indeg
+            .iter()
+            .position(|&d| d > 0)
+            .expect("a gate is unordered");
+        while !seen[i] {
+            seen[i] = true;
+            i = self.gates[i]
+                .inputs
+                .iter()
+                .map(|input| input.index())
+                .find(|&j| indeg[j] > 0)
+                .expect("an unordered gate has an unordered input");
+        }
+        Err(NetlistError::CombinationalCycle(self.gates[i].name.clone()))
     }
 
     /// The netlist (module) name.
@@ -170,10 +204,42 @@ impl Netlist {
         (0..self.gates.len() as u32).map(GateId)
     }
 
-    /// Gates consuming `id`'s output.
+    /// Gates consuming `id`'s output, in ascending id order (a gate that
+    /// reads `id` on two pins appears twice).
     #[inline]
     pub fn fanout(&self, id: GateId) -> &[GateId] {
-        &self.fanouts[id.index()]
+        let i = id.index();
+        &self.fanout[self.fanout_start[i] as usize..self.fanout_start[i + 1] as usize]
+    }
+
+    /// Every gate exactly once, sources first (primary inputs, constants,
+    /// flip-flop outputs, inbound TSVs) and every combinational gate after
+    /// all of its drivers; among ready gates the smallest id comes first.
+    /// A sequential gate appears as a source (its Q pin); its D-pin side is
+    /// read like any other sink's. Evaluating gates in this order is a
+    /// complete single-cycle simulation.
+    #[inline]
+    pub fn order(&self) -> &[GateId] {
+        &self.order
+    }
+
+    /// Combinational logic level of every gate: sources (flip-flops
+    /// included) are level 0 and every other gate is one more than its
+    /// deepest driver. Derived from [`Self::order`] on each call.
+    pub fn levels(&self) -> Vec<u32> {
+        let mut level = vec![0u32; self.len()];
+        for &id in &self.order {
+            let gate = self.gate(id);
+            if !gate.kind.is_source() {
+                level[id.index()] = gate
+                    .inputs
+                    .iter()
+                    .map(|&i| level[i.index()] + 1)
+                    .max()
+                    .unwrap_or(0);
+            }
+        }
+        level
     }
 
     /// Ids of all gates of the given kind, in id order.
@@ -246,12 +312,6 @@ impl Netlist {
             }
         }
         h
-    }
-
-    /// Consume the netlist back into its gate list (e.g. to edit and
-    /// re-validate through [`Self::from_gates`]).
-    pub fn into_gates(self) -> Vec<Gate> {
-        self.gates
     }
 }
 
@@ -354,6 +414,21 @@ mod tests {
     }
 
     #[test]
+    fn cycle_error_names_a_gate_on_the_cycle() {
+        // `down` only reads the x/y loop, so it must not be named: the walk
+        // from it through unordered inputs revisits x first.
+        let gates = vec![
+            Gate::new("down", GateKind::Not, vec![GateId(1)]),
+            Gate::new("x", GateKind::Not, vec![GateId(2)]),
+            Gate::new("y", GateKind::Not, vec![GateId(1)]),
+        ];
+        assert_eq!(
+            Netlist::from_gates("d", gates),
+            Err(NetlistError::CombinationalCycle("x".into()))
+        );
+    }
+
+    #[test]
     fn allows_sequential_loop() {
         // q = dff(d), d = not(q): legal feedback through a flip-flop.
         let gates = vec![
@@ -374,5 +449,107 @@ mod tests {
             Netlist::from_gates("d", gates),
             Err(NetlistError::NonDrivingInput { .. })
         ));
+    }
+
+    fn chain(depth: usize) -> Netlist {
+        let mut b = NetlistBuilder::new("chain");
+        let mut sig = b.input("a");
+        for i in 0..depth {
+            sig = b.gate(GateKind::Not, &[sig], format!("n{i}"));
+        }
+        b.output(sig, "o");
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn levels_of_chain() {
+        let n = chain(5);
+        let l = n.levels();
+        assert_eq!(l.iter().max(), Some(&6)); // 5 inverters + output marker
+        assert_eq!(l[n.find("a").unwrap().index()], 0);
+        assert_eq!(l[n.find("n4").unwrap().index()], 5);
+    }
+
+    #[test]
+    fn ff_cuts_levels() {
+        let mut b = NetlistBuilder::new("t");
+        let a = b.input("a");
+        let g1 = b.gate(GateKind::Not, &[a], "g1");
+        let q = b.dff(g1, "q");
+        let g2 = b.gate(GateKind::Not, &[q], "g2");
+        b.output(g2, "o");
+        let n = b.finish().unwrap();
+        let l = n.levels();
+        assert_eq!(l[n.find("q").unwrap().index()], 0);
+        assert_eq!(l[n.find("g2").unwrap().index()], 1);
+    }
+
+    /// Reference order: scan every gate each step for the smallest id whose
+    /// combinational inputs are all placed. It places every gate after its
+    /// drivers, so matching it also checks that the order respects them.
+    fn naive_order(n: &Netlist) -> Vec<GateId> {
+        let mut placed = vec![false; n.len()];
+        let mut order = Vec::new();
+        while let Some(id) = n.ids().find(|&id| {
+            let gate = n.gate(id);
+            !placed[id.index()]
+                && (gate.kind.is_source() || gate.inputs.iter().all(|i| placed[i.index()]))
+        }) {
+            placed[id.index()] = true;
+            order.push(id);
+        }
+        order
+    }
+
+    /// Reference level: the longest input path back to a source.
+    fn naive_level(n: &Netlist, id: GateId, memo: &mut [Option<u32>]) -> u32 {
+        if let Some(level) = memo[id.index()] {
+            return level;
+        }
+        let gate = n.gate(id);
+        let level = if gate.kind.is_source() {
+            0
+        } else {
+            gate.inputs
+                .iter()
+                .map(|&i| naive_level(n, i, memo) + 1)
+                .max()
+                .unwrap_or(0)
+        };
+        memo[id.index()] = Some(level);
+        level
+    }
+
+    #[test]
+    fn order_and_levels_match_naive_references_on_seeded_dies() {
+        use crate::itc99;
+        use prebond3d_rng::StdRng;
+        let mut rng = StdRng::seed_from_u64(0x0DE7);
+        for case in 0..8 {
+            let spec = itc99::DieSpec {
+                name: format!("order_die{case}"),
+                scan_flip_flops: rng.gen_range(2usize..20),
+                gates: rng.gen_range(20usize..200),
+                inbound_tsvs: rng.gen_range(0usize..10),
+                outbound_tsvs: rng.gen_range(0usize..10),
+                primary_inputs: 3,
+                primary_outputs: 3,
+                seed: rng.gen_range(0u64..10_000),
+            };
+            let die = itc99::generate_die(&spec);
+            assert_eq!(die.order(), naive_order(&die), "case {case}");
+            let mut sorted = die.order().to_vec();
+            sorted.sort_unstable();
+            assert!(
+                sorted.into_iter().eq(die.ids()),
+                "case {case}: not a permutation"
+            );
+            let mut memo = vec![None; die.len()];
+            let levels: Vec<u32> = die
+                .ids()
+                .map(|id| naive_level(&die, id, &mut memo))
+                .collect();
+            assert_eq!(die.levels(), levels, "case {case}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Arrival/required/slack propagation.
 
 use prebond3d_celllib::{Capacitance, Library, Time};
-use prebond3d_netlist::{traverse, GateId, GateKind, Netlist};
+use prebond3d_netlist::{GateId, GateKind, Netlist};
 use prebond3d_obs as obs;
 use prebond3d_place::Placement;
 
@@ -146,9 +146,9 @@ pub fn analyze_with_statics(
     }
 
     // --- Arrival (forward) ----------------------------------------------
-    let order = traverse::combinational_order(netlist);
+    let order = netlist.order();
     let mut arrival = vec![Time(0.0); n];
-    for &id in &order {
+    for &id in order {
         let gate = netlist.gate(id);
         let cell = library.timing(gate.kind);
         if is_static[id.index()] {

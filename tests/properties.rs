@@ -8,7 +8,8 @@
 use prebond3d::atpg::engine::{run_stuck_at, AtpgConfig};
 use prebond3d::atpg::TestAccess;
 use prebond3d::celllib::Library;
-use prebond3d::netlist::{format, itc99, traverse, BitSet};
+use prebond3d::dft::{self, WrapAssignment, WrapPlan, WrapperSource};
+use prebond3d::netlist::{format, itc99, BitSet, GateId, Netlist};
 use prebond3d::place::{place, PlaceConfig};
 use prebond3d::sta::{analyze, StaConfig};
 use prebond3d_rng::StdRng;
@@ -72,26 +73,84 @@ fn generated_die_roundtrips() {
     }
 }
 
-/// Topological order puts every combinational gate after its drivers.
+/// Reference order: scan every gate each step for the smallest id whose
+/// combinational inputs are all placed.
+fn naive_order(n: &Netlist) -> Vec<GateId> {
+    let mut placed = vec![false; n.len()];
+    let mut order = Vec::new();
+    while let Some(id) = n.ids().find(|&id| {
+        let gate = n.gate(id);
+        !placed[id.index()]
+            && (gate.kind.is_source() || gate.inputs.iter().all(|i| placed[i.index()]))
+    }) {
+        placed[id.index()] = true;
+        order.push(id);
+    }
+    order
+}
+
+/// Reference level: the longest input path back to a source.
+fn naive_level(n: &Netlist, id: GateId, memo: &mut [Option<u32>]) -> u32 {
+    if let Some(level) = memo[id.index()] {
+        return level;
+    }
+    let gate = n.gate(id);
+    let level = if gate.kind.is_source() {
+        0
+    } else {
+        gate.inputs
+            .iter()
+            .map(|&i| naive_level(n, i, memo) + 1)
+            .max()
+            .unwrap_or(0)
+    };
+    memo[id.index()] = Some(level);
+    level
+}
+
+/// The netlist's order and levels equal the naive references on seeded
+/// dies and on two wrapped versions of each: every TSV on a dedicated
+/// cell, and the first inbound and outbound TSV on the first scan
+/// flip-flop instead. The reference order places a gate only after its
+/// drivers, so this also checks that the order respects every dependency.
 #[test]
 fn topological_order_is_consistent() {
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x0710 ^ case);
-        let seed = rng.gen_range(0u64..500);
-        let die = itc99::generate_flat("prop", 150, 12, 5, 5, seed);
-        let order = traverse::combinational_order(&die);
-        assert_eq!(order.len(), die.len(), "case {case}");
-        let mut pos = vec![0usize; die.len()];
-        for (p, id) in order.iter().enumerate() {
-            pos[id.index()] = p;
-        }
-        for (id, gate) in die.iter() {
-            if gate.kind.is_sequential() {
-                continue;
-            }
-            for &input in &gate.inputs {
-                assert!(pos[input.index()] < pos[id.index()], "case {case}");
-            }
+        let spec = itc99::DieSpec {
+            name: "prop".into(),
+            scan_flip_flops: 12,
+            gates: 150,
+            inbound_tsvs: rng.gen_range(1usize..8),
+            outbound_tsvs: rng.gen_range(1usize..8),
+            primary_inputs: 5,
+            primary_outputs: 5,
+            seed: rng.gen_range(0u64..500),
+        };
+        let die = itc99::generate_die(&spec);
+        let (t_in, t_out) = (die.inbound_tsvs()[0], die.outbound_tsvs()[0]);
+        let mut reused = WrapPlan::all_dedicated(&die);
+        reused
+            .assignments
+            .retain(|a| a.inbound != [t_in] && a.outbound != [t_out]);
+        reused.assignments.push(WrapAssignment {
+            source: WrapperSource::ReusedScanFf(die.flip_flops()[0]),
+            inbound: vec![t_in],
+            outbound: vec![t_out],
+        });
+        let wrap = |plan: &WrapPlan| dft::apply(&die, plan).expect("plan applies").netlist;
+        for netlist in [
+            wrap(&WrapPlan::all_dedicated(&die)),
+            wrap(&reused),
+            die.clone(),
+        ] {
+            assert_eq!(netlist.order(), naive_order(&netlist), "case {case}");
+            let mut memo = vec![None; netlist.len()];
+            let levels: Vec<u32> = netlist
+                .ids()
+                .map(|id| naive_level(&netlist, id, &mut memo))
+                .collect();
+            assert_eq!(netlist.levels(), levels, "case {case}");
         }
     }
 }
