@@ -19,11 +19,8 @@
 //!   alone cannot see, and skipping it is precisely how Agrawal's method
 //!   ends up violating timing in Table III.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use prebond3d_celllib::{Capacitance, Distance, Time};
-use prebond3d_netlist::{GateId, GateKind};
+use prebond3d_netlist::{BitSet, GateId, GateKind};
 use prebond3d_obs as obs;
 
 use crate::graph::{NodeKind, SharingGraph};
@@ -116,13 +113,6 @@ struct State {
     q_slack: Time,
 }
 
-/// Remove `x` from the sorted list `v`; no-op when absent.
-fn remove_sorted(v: &mut Vec<usize>, x: usize) {
-    if let Ok(p) = v.binary_search(&x) {
-        v.remove(p);
-    }
-}
-
 /// Candidate score of node `j` — (carries a flip-flop, degree) — through
 /// the generation-stamped cache. A cached value is valid while no merge
 /// or rejection has touched `j`'s neighborhood since it was computed.
@@ -131,7 +121,7 @@ fn candidate_score(
     j: usize,
     generation: u64,
     states: &[State],
-    neighbors: &[Vec<usize>],
+    degree: &[usize],
     touch_gen: &[u64],
     score_gen: &mut [u64],
     score_val: &mut [(bool, usize)],
@@ -140,13 +130,13 @@ fn candidate_score(
     if score_gen[j] >= touch_gen[j] {
         debug_assert_eq!(
             score_val[j],
-            (states[j].ff.is_some(), neighbors[j].len()),
+            (states[j].ff.is_some(), degree[j]),
             "stale candidate score for node {j}"
         );
         return score_val[j];
     }
     *rescores += 1;
-    let s = (states[j].ff.is_some(), neighbors[j].len());
+    let s = (states[j].ff.is_some(), degree[j]);
     score_val[j] = s;
     score_gen[j] = generation;
     s
@@ -195,28 +185,67 @@ fn merge_states(
     }
 }
 
-/// Run Algorithm 2 on `graph`.
-pub fn partition(
-    graph: &SharingGraph,
+/// Merge `a` and `b` if the merged wrapper cell stays within its budgets
+/// (`cap < cap_th`, plus the accurate model's delay accumulation);
+/// `None` when the merge is rejected.
+fn try_merge(
+    a: &State,
+    b: &State,
+    direction: ReuseKind,
+    policy: MergePolicy,
     model: &TimingModel<'_>,
     thresholds: &Thresholds,
-    policy: MergePolicy,
-) -> CliquePartition {
-    let _span = obs::span("clique_partition");
-    let n = graph.len();
-    let report = model.report();
-    let library = model.library();
-    let netlist = model.netlist();
-    let rd = library.timing(GateKind::ScanDff).drive_resistance;
+) -> Option<State> {
     let include_wire = policy == MergePolicy::Accurate;
+    let dist = if include_wire {
+        model.distance(a.anchor, b.anchor)
+    } else {
+        Distance(0.0)
+    };
+    let merged = merge_states(a, b, dist, include_wire, model);
+    let feasible = match direction {
+        ReuseKind::Inbound => {
+            let cap_ok = merged.drive_load <= thresholds.cap_th;
+            if !include_wire {
+                cap_ok
+            } else {
+                // Drive-delay growth beyond the baseline lands on every
+                // path from the shared cell and on every member TSV's
+                // functional path (plus its wire).
+                let rd = model.library().timing(GateKind::ScanDff).drive_resistance;
+                let drive_penalty = rd * (merged.drive_load - merged.base_load);
+                cap_ok
+                    && merged.min_slack - drive_penalty - merged.wire_delay >= thresholds.s_th
+                    && merged.q_slack - drive_penalty >= thresholds.s_th
+            }
+        }
+        ReuseKind::Outbound => {
+            if !include_wire {
+                // Agrawal bounds only the XOR tap capacitance, which is
+                // constant per member — nothing accumulates in his
+                // model, so any merge passes.
+                true
+            } else {
+                // Tap-driver slacks already include the capture setup;
+                // the capture-hardware insertion (XOR + mux, exact
+                // delays) sits on top of the XOR chain.
+                let capture_overhead = model.capture_insertion_delay();
+                merged.min_slack - merged.capture_delay - capture_overhead >= thresholds.s_th
+            }
+        }
+    };
+    feasible.then_some(merged)
+}
 
-    // Candidate scoring: each node's initial budget state is an
-    // independent set of timing-model queries (loads, slacks, anchor
-    // contributions), so it runs on the pool; `par_range_map` returns the
-    // states in node order, identical to the serial loop. The merge loop
-    // below is inherently sequential — each merge decision depends on the
-    // partition produced by all previous ones.
-    let mut states: Vec<State> = prebond3d_pool::par_range_map(n, |i| {
+/// Every node's singleton clique state, in node order.
+///
+/// Each state is an independent set of timing-model queries (loads,
+/// slacks, anchor contributions), so they run on the pool;
+/// `par_range_map` returns them in node order, identical to a serial loop.
+fn singleton_states(graph: &SharingGraph, model: &TimingModel<'_>) -> Vec<State> {
+    let report = model.report();
+    let netlist = model.netlist();
+    prebond3d_pool::par_range_map(graph.len(), |i| {
         let gate = graph.nodes[i];
         match graph.kinds[i] {
             NodeKind::ScanFf => {
@@ -263,20 +292,54 @@ pub fn partition(
                 q_slack: Time(f64::INFINITY),
             },
         }
-    });
+    })
+}
 
-    // Sorted neighbor vectors (CSR rows are already ascending): binary
-    // search for removal, two-pointer walks for intersection — no
-    // per-node tree allocations.
-    let mut neighbors: Vec<Vec<usize>> = (0..n)
-        .map(|i| graph.neighbors(i).iter().map(|&j| j as usize).collect())
+/// The partition's cliques: the live states, in id order.
+fn cliques_of(graph: &SharingGraph, states: &[State], alive: &[bool]) -> Vec<Clique> {
+    states
+        .iter()
+        .zip(alive)
+        .filter(|(_, &a)| a)
+        .map(|(s, _)| Clique {
+            members: s.members.iter().map(|&i| graph.nodes[i]).collect(),
+            ff: s.ff,
+            drive_load: s.drive_load,
+            capture_delay: s.capture_delay,
+            anchor: s.anchor,
+            min_slack: s.min_slack,
+        })
+        .collect()
+}
+
+/// Run Algorithm 2 on `graph`.
+pub fn partition(
+    graph: &SharingGraph,
+    model: &TimingModel<'_>,
+    thresholds: &Thresholds,
+    policy: MergePolicy,
+) -> CliquePartition {
+    let _span = obs::span("clique_partition");
+    let n = graph.len();
+    // The merge loop below is inherently sequential — each merge decision
+    // depends on the partition produced by all previous ones.
+    let mut states = singleton_states(graph, model);
+
+    // Bit-row adjacency over every id the merge can create: `n`
+    // singletons plus at most `n - 1` merged cliques (DESIGN.md §11). Rows
+    // hold live nodes only, so common neighbours are a row AND, and
+    // retiring a node clears one bit per neighbour. Degrees are kept
+    // alongside; a retired node has degree 0.
+    let ids = 2 * n;
+    let mut rows: Vec<BitSet> = (0..n)
+        .map(|i| {
+            let mut row = BitSet::new(ids);
+            row.extend(graph.neighbors(i).iter().map(|&j| j as usize));
+            row
+        })
         .collect();
+    let mut degree: Vec<usize> = (0..n).map(|i| graph.degree(i)).collect();
     let mut alive: Vec<bool> = vec![true; n];
-    // (degree, node) min-heap with lazy invalidation.
-    let mut heap: BinaryHeap<Reverse<(usize, usize)>> = (0..n)
-        .filter(|&i| !neighbors[i].is_empty())
-        .map(|i| Reverse((neighbors[i].len(), i)))
-        .collect();
 
     // Incremental candidate scoring (DESIGN.md §11): a node's selection
     // score — (carries a flip-flop, current degree) — is cached under a
@@ -296,38 +359,34 @@ pub fn partition(
     // merging and emit the current (coarser) partition.
     let deadline = prebond3d_resilience::Deadline::for_phase();
 
-    while let Some(Reverse((deg, n1))) = heap.pop() {
+    // `n1`: the lowest (degree, index) among live nodes that still have
+    // edges.
+    while let Some(n1) = (0..degree.len())
+        .filter(|&i| degree[i] > 0)
+        .min_by_key(|&i| (degree[i], i))
+    {
         if deadline.expired() {
+            let candidates = degree.iter().filter(|&&d| d > 0).count();
             prebond3d_resilience::degrade::record(
                 "clique",
                 "stop_merging",
-                format!(
-                    "{merges} merges done, {} candidates dropped at phase budget",
-                    heap.len()
-                ),
+                format!("{merges} merges done, {candidates} candidates dropped at phase budget"),
             );
             break;
         }
-        if n1 >= alive.len() || !alive[n1] || neighbors[n1].len() != deg || deg == 0 {
-            continue; // stale entry
-        }
-        // Lowest-degree live neighbour, preferring one that brings a
+        // Lowest-degree neighbour, preferring one that brings a
         // (cost-free) reused flip-flop into the clique: the WCM objective
         // counts only flip-flop-less cliques, so gluing TSVs onto
         // flip-flop cliques first converts would-be dedicated cells into
         // reuse.
         let n1_has_ff = states[n1].ff.is_some();
         let mut best: Option<((usize, usize, usize), usize)> = None;
-        for idx in 0..neighbors[n1].len() {
-            let j = neighbors[n1][idx];
-            if !alive[j] {
-                continue;
-            }
+        for j in rows[n1].iter() {
             let (has_ff, deg) = candidate_score(
                 j,
                 generation,
                 &states,
-                &neighbors,
+                &degree,
                 &touch_gen,
                 &mut score_gen,
                 &mut score_val,
@@ -339,130 +398,56 @@ pub fn partition(
                 best = Some((key, j));
             }
         }
-        let n2 = match best {
-            Some((_, j)) => j,
-            None => continue,
-        };
+        let (_, n2) = best.expect("a node with edges has a live neighbour");
 
-        // --- Merge feasibility (`cap < cap_th`, plus the accurate model's
-        // delay accumulation) -------------------------------------------------
-        let (a, b) = (&states[n1], &states[n2]);
-        let dist = if include_wire {
-            model.distance(a.anchor, b.anchor)
-        } else {
-            Distance(0.0)
-        };
-        let merged = merge_states(a, b, dist, include_wire, model);
-        let feasible = match graph.direction {
-            ReuseKind::Inbound => {
-                let cap_ok = merged.drive_load <= thresholds.cap_th;
-                if !include_wire {
-                    cap_ok
-                } else {
-                    // Drive-delay growth beyond the baseline lands on every
-                    // path from the shared cell and on every member TSV's
-                    // functional path (plus its wire).
-                    let drive_penalty = rd * (merged.drive_load - merged.base_load);
-                    cap_ok
-                        && merged.min_slack - drive_penalty - merged.wire_delay >= thresholds.s_th
-                        && merged.q_slack - drive_penalty >= thresholds.s_th
-                }
-            }
-            ReuseKind::Outbound => {
-                if !include_wire {
-                    // Agrawal bounds only the XOR tap capacitance, which is
-                    // constant per member — nothing accumulates in his
-                    // model, so any merge passes.
-                    true
-                } else {
-                    // Tap-driver slacks already include the capture setup;
-                    // the capture-hardware insertion (XOR + mux, exact
-                    // delays) sits on top of the XOR chain.
-                    let capture_overhead = model.capture_insertion_delay();
-                    merged.min_slack - merged.capture_delay - capture_overhead >= thresholds.s_th
-                }
-            }
-        };
-
-        if !feasible {
+        generation += 1;
+        let Some(merged) = try_merge(
+            &states[n1],
+            &states[n2],
+            graph.direction,
+            policy,
+            model,
+            thresholds,
+        ) else {
             rejected += 1;
-            generation += 1;
-            remove_sorted(&mut neighbors[n1], n2);
-            remove_sorted(&mut neighbors[n2], n1);
-            touch_gen[n1] = generation;
-            touch_gen[n2] = generation;
-            if !neighbors[n1].is_empty() {
-                heap.push(Reverse((neighbors[n1].len(), n1)));
-            }
-            if !neighbors[n2].is_empty() {
-                heap.push(Reverse((neighbors[n2].len(), n2)));
+            for (a, b) in [(n1, n2), (n2, n1)] {
+                rows[a].remove(b);
+                degree[a] -= 1;
+                touch_gen[a] = generation;
             }
             continue;
-        }
+        };
 
-        // --- Merge ---------------------------------------------------------
+        // --- Merge: the new node inherits the common neighbours -------------
         merges += 1;
-        generation += 1;
-        // Common live neighbors by a two-pointer walk over the sorted rows.
-        let (row1, row2) = (&neighbors[n1], &neighbors[n2]);
-        let mut common: Vec<usize> = Vec::with_capacity(row1.len().min(row2.len()));
-        let (mut p, mut q) = (0usize, 0usize);
-        while p < row1.len() && q < row2.len() {
-            match row1[p].cmp(&row2[q]) {
-                std::cmp::Ordering::Less => p += 1,
-                std::cmp::Ordering::Greater => q += 1,
-                std::cmp::Ordering::Equal => {
-                    if alive[row1[p]] {
-                        common.push(row1[p]);
-                    }
-                    p += 1;
-                    q += 1;
-                }
-            }
-        }
         let new_id = states.len();
+        let mut common = rows[n1].clone();
+        common.intersect_with(&rows[n2]);
+        for c in common.iter() {
+            rows[c].insert(new_id);
+            degree[c] += 1;
+            touch_gen[c] = generation;
+        }
+        degree.push(common.count());
+        rows.push(common);
         states.push(merged);
         alive.push(true);
-        neighbors.push(common.clone());
         touch_gen.push(generation);
         score_gen.push(0);
         score_val.push((false, 0));
-        for &c in &common {
-            // `new_id` exceeds every existing index, so push keeps the
-            // row sorted.
-            neighbors[c].push(new_id);
-            touch_gen[c] = generation;
-        }
         // Retire n1, n2.
-        for &old in &[n1, n2] {
+        for old in [n1, n2] {
             alive[old] = false;
-            let olds = std::mem::take(&mut neighbors[old]);
-            for j in olds {
-                remove_sorted(&mut neighbors[j], old);
+            degree[old] = 0;
+            for j in std::mem::take(&mut rows[old]).iter() {
+                rows[j].remove(old);
+                degree[j] -= 1;
                 touch_gen[j] = generation;
-                if alive[j] && !neighbors[j].is_empty() {
-                    heap.push(Reverse((neighbors[j].len(), j)));
-                }
             }
-        }
-        if !neighbors[new_id].is_empty() {
-            heap.push(Reverse((neighbors[new_id].len(), new_id)));
         }
     }
 
-    let cliques = states
-        .iter()
-        .zip(alive.iter())
-        .filter(|(_, &a)| a)
-        .map(|(s, _)| Clique {
-            members: s.members.iter().map(|&i| graph.nodes[i]).collect(),
-            ff: s.ff,
-            drive_load: s.drive_load,
-            capture_delay: s.capture_delay,
-            anchor: s.anchor,
-            min_slack: s.min_slack,
-        })
-        .collect();
+    let cliques = cliques_of(graph, &states, &alive);
 
     // Aggregated per partition() call — the merge loop stays probe-free.
     obs::count("clique.merge_attempts", (merges + rejected) as u64);
@@ -483,46 +468,246 @@ mod tests {
     use crate::graph;
     use crate::testability::StructuralProbe;
     use prebond3d_celllib::Library;
-    use prebond3d_netlist::itc99;
-    use prebond3d_place::{place, PlaceConfig};
+    use prebond3d_netlist::{itc99, Netlist};
+    use prebond3d_place::{place, PlaceConfig, Placement};
+    use prebond3d_sta::analysis::TimingReport;
     use prebond3d_sta::{analyze, StaConfig};
 
-    fn run(direction: ReuseKind) -> (CliquePartition, usize, usize) {
-        let spec = itc99::DieSpec {
-            name: "die".into(),
-            scan_flip_flops: 16,
-            gates: 250,
-            inbound_tsvs: 12,
-            outbound_tsvs: 12,
+    struct Rig {
+        die: Netlist,
+        placement: Placement,
+        library: Library,
+        report: TimingReport,
+    }
+
+    impl Rig {
+        /// A placed die analyzed at `period`, or at its calibrated tight
+        /// clock when `period` is `None`.
+        fn new(spec: &itc99::DieSpec, period: Option<Time>) -> Rig {
+            let die = itc99::generate_die(spec);
+            let placement = place(&die, &PlaceConfig::default(), 1);
+            let library = Library::nangate45_like();
+            let period = period.unwrap_or_else(|| {
+                crate::flow::calibrate_tight_period(&die, &placement, &library)
+                    .expect("the all-dedicated plan applies")
+            });
+            let report = analyze(&die, &placement, &library, &StaConfig::with_period(period));
+            Rig {
+                die,
+                placement,
+                library,
+                report,
+            }
+        }
+
+        fn model(&self) -> TimingModel<'_> {
+            TimingModel::new(
+                &self.die,
+                &self.placement,
+                &self.library,
+                &self.report,
+                &self.report,
+                true,
+            )
+        }
+
+        fn tsvs(&self, direction: ReuseKind) -> Vec<GateId> {
+            match direction {
+                ReuseKind::Inbound => self.die.inbound_tsvs(),
+                ReuseKind::Outbound => self.die.outbound_tsvs(),
+            }
+        }
+
+        /// The sharing graph of one phase over every flip-flop of the die.
+        fn graph(
+            &self,
+            model: &TimingModel<'_>,
+            th: &Thresholds,
+            direction: ReuseKind,
+        ) -> SharingGraph {
+            graph::build(
+                model,
+                th,
+                &StructuralProbe::default(),
+                &graph::flow_cones(&self.die),
+                &self.die.flip_flops(),
+                &self.tsvs(direction),
+                direction,
+            )
+        }
+    }
+
+    fn spec(name: &str, ffs: usize, gates: usize, tsvs: usize, seed: u64) -> itc99::DieSpec {
+        itc99::DieSpec {
+            name: name.into(),
+            scan_flip_flops: ffs,
+            gates,
+            inbound_tsvs: tsvs,
+            outbound_tsvs: tsvs,
             primary_inputs: 4,
             primary_outputs: 4,
-            seed: 5,
-        };
-        let die = itc99::generate_die(&spec);
-        let placement = place(&die, &PlaceConfig::default(), 1);
-        let library = Library::nangate45_like();
-        let report = analyze(
-            &die,
-            &placement,
-            &library,
-            &StaConfig::with_period(Time(3000.0)),
-        );
-        let model = TimingModel::new(&die, &placement, &library, &report, &report, true);
-        let th = Thresholds::area_optimized(&library);
-        let tsvs = match direction {
-            ReuseKind::Inbound => die.inbound_tsvs(),
-            ReuseKind::Outbound => die.outbound_tsvs(),
-        };
-        let g = graph::build(
-            &model,
-            &th,
-            &StructuralProbe::default(),
-            &die.flip_flops(),
-            &tsvs,
-            direction,
-        );
+            seed,
+        }
+    }
+
+    fn run(direction: ReuseKind) -> (CliquePartition, usize, usize) {
+        let rig = Rig::new(&spec("die", 16, 250, 12, 5), Some(Time(3000.0)));
+        let model = rig.model();
+        let th = Thresholds::area_optimized(&rig.library);
+        let g = rig.graph(&model, &th, direction);
         let p = partition(&g, &model, &th, MergePolicy::Accurate);
-        (p, die.flip_flops().len(), tsvs.len())
+        (p, rig.die.flip_flops().len(), rig.tsvs(direction).len())
+    }
+
+    /// Algorithm 2 as the paper states it, over a dense adjacency matrix:
+    /// degrees are recounted on every read, `n1` is found by scanning
+    /// every node, and no score is cached. It shares only the singleton
+    /// states, the merge pricing (`try_merge`) and the clique read-out
+    /// with [`partition`].
+    fn reference_partition(
+        graph: &SharingGraph,
+        model: &TimingModel<'_>,
+        thresholds: &Thresholds,
+        policy: MergePolicy,
+    ) -> CliquePartition {
+        let mut states = singleton_states(graph, model);
+        let ids = 2 * graph.len();
+        let mut adj = vec![vec![false; ids]; ids];
+        for (i, j) in graph.edges() {
+            adj[i][j] = true;
+            adj[j][i] = true;
+        }
+        let degree = |adj: &[Vec<bool>], v: usize| adj[v].iter().filter(|&&e| e).count();
+        let mut alive = vec![true; graph.len()];
+        let (mut merges, mut rejected) = (0, 0);
+        loop {
+            let created = states.len();
+            let Some(n1) = (0..created)
+                .filter(|&v| degree(&adj, v) > 0)
+                .min_by_key(|&v| (degree(&adj, v), v))
+            else {
+                break;
+            };
+            let n1_has_ff = states[n1].ff.is_some();
+            let n2 = (0..created)
+                .filter(|&j| adj[n1][j])
+                .min_by_key(|&j| {
+                    let brings_ff = !n1_has_ff && states[j].ff.is_some();
+                    (!brings_ff, degree(&adj, j), j)
+                })
+                .expect("n1 has a neighbour");
+            let merged = try_merge(
+                &states[n1],
+                &states[n2],
+                graph.direction,
+                policy,
+                model,
+                thresholds,
+            );
+            let Some(merged) = merged else {
+                rejected += 1;
+                adj[n1][n2] = false;
+                adj[n2][n1] = false;
+                continue;
+            };
+            merges += 1;
+            let common: Vec<usize> = (0..created).filter(|&c| adj[n1][c] && adj[n2][c]).collect();
+            for c in common {
+                adj[created][c] = true;
+                adj[c][created] = true;
+            }
+            for old in [n1, n2] {
+                alive[old] = false;
+                adj[old].fill(false);
+                for row in &mut adj {
+                    row[old] = false;
+                }
+            }
+            states.push(merged);
+            alive.push(true);
+        }
+        CliquePartition {
+            cliques: cliques_of(graph, &states, &alive),
+            merges,
+            rejected,
+        }
+    }
+
+    /// The bit-row merge gives the reference's partition (cliques in
+    /// order, merges, rejections) on seeded dies, for both directions,
+    /// both merge policies, and area and tight thresholds.
+    #[test]
+    fn bit_row_merge_matches_the_dense_reference() {
+        let mut rng = prebond3d_rng::StdRng::seed_from_u64(0xA1_6002);
+        let (mut merges, mut rejected) = (0, 0);
+        for case in 0..3 {
+            let die_spec = spec(
+                &format!("ref{case}"),
+                rng.gen_range(12usize..40),
+                rng.gen_range(200usize..400),
+                rng.gen_range(20usize..45),
+                rng.gen_range(0u64..10_000),
+            );
+            let rig = Rig::new(&die_spec, None);
+            let model = rig.model();
+            let mut tight = Thresholds::performance_optimized(
+                &rig.library,
+                Distance(rig.placement.scale().0 * 0.4),
+            );
+            tight.s_th = Time(5.0);
+            for th in [Thresholds::area_optimized(&rig.library), tight] {
+                for direction in [ReuseKind::Inbound, ReuseKind::Outbound] {
+                    let g = rig.graph(&model, &th, direction);
+                    for policy in [MergePolicy::Accurate, MergePolicy::CapacitanceOnly] {
+                        let want = reference_partition(&g, &model, &th, policy);
+                        let got = partition(&g, &model, &th, policy);
+                        assert_eq!(got, want, "case {case} {direction:?} {policy:?} {th:?}");
+                        merges += got.merges;
+                        rejected += got.rejected;
+                    }
+                }
+            }
+        }
+        assert!(
+            merges > 0 && rejected > 0,
+            "{merges} merges, {rejected} rejections"
+        );
+    }
+
+    /// A zero phase budget stops merging before the first merge, still
+    /// puts every node in exactly one clique, and records the live nodes
+    /// that still had edges.
+    #[test]
+    fn zero_budget_stops_merging_and_still_covers_every_node() {
+        let rig = Rig::new(&spec("budget", 16, 250, 12, 5), Some(Time(3000.0)));
+        let model = rig.model();
+        let th = Thresholds::area_optimized(&rig.library);
+        for direction in [ReuseKind::Inbound, ReuseKind::Outbound] {
+            let g = rig.graph(&model, &th, direction);
+            // A job-scoped budget: other tests of this crate keep running
+            // unbudgeted on their own threads.
+            let (p, degradations) = prebond3d_resilience::job::run(Some(0), || {
+                partition(&g, &model, &th, MergePolicy::Accurate)
+            });
+            assert_eq!((p.merges, p.rejected), (0, 0), "{direction:?}");
+            let mut members: Vec<GateId> =
+                p.cliques.iter().flat_map(|c| c.members.clone()).collect();
+            let mut nodes = g.nodes.clone();
+            members.sort();
+            nodes.sort();
+            assert_eq!(members, nodes, "{direction:?}: every node exactly once");
+            let with_edges = (0..g.len()).filter(|&i| g.degree(i) > 0).count();
+            assert!(with_edges > 0, "{direction:?}");
+            let stops: Vec<_> = degradations
+                .iter()
+                .filter(|d| (d.phase, d.action) == ("clique", "stop_merging"))
+                .collect();
+            assert_eq!(stops.len(), 1, "{direction:?}: {degradations:?}");
+            assert_eq!(
+                stops[0].detail,
+                format!("0 merges done, {with_edges} candidates dropped at phase budget")
+            );
+        }
     }
 
     #[test]

@@ -191,6 +191,7 @@ mod tests {
             &model,
             &th,
             &StructuralProbe::default(),
+            &graph::flow_cones(&die),
             &die.flip_flops(),
             &die.inbound_tsvs(),
             ReuseKind::Inbound,

@@ -15,7 +15,7 @@
 
 use prebond3d_celllib::{Distance, Library, Time};
 use prebond3d_dft::{testable, TestableDie, WrapAssignment, WrapPlan, WrapperSource};
-use prebond3d_netlist::{GateId, Netlist};
+use prebond3d_netlist::{ConeSet, GateId, Netlist};
 use prebond3d_obs as obs;
 use prebond3d_place::Placement;
 use prebond3d_sta::{analyze, StaConfig};
@@ -428,8 +428,21 @@ pub fn run_flow_with_probe(
         Method::Naive => (WrapPlan::all_dedicated(die), Vec::new()),
         Method::Li => (baseline::li::plan(&model, &thresholds), Vec::new()),
         Method::Ours | Method::Agrawal => {
-            let (plan, phases) =
-                clique_flow(die, &model, &thresholds, merge_policy, ordering, probe);
+            // One cone set serves every graph build of the flow: both
+            // phases, and the strict re-solve below.
+            let cones = graph::flow_cones(die);
+            let solve = |thresholds: &Thresholds| {
+                clique_flow(
+                    die,
+                    &model,
+                    thresholds,
+                    &cones,
+                    merge_policy,
+                    ordering,
+                    probe,
+                )
+            };
+            let (plan, phases) = solve(&thresholds);
             // Overlapped-cone expansion is an *offer*, not a commitment:
             // the greedy partitioner is not monotone in edge count (extra
             // edges can also deplete flip-flops early and starve the
@@ -437,8 +450,7 @@ pub fn run_flow_with_probe(
             // the globally better plan.
             if thresholds.allows_overlap() && phases.iter().any(|p| p.overlap_edges > 0) {
                 let strict = thresholds.without_overlap();
-                let (plan2, phases2) =
-                    clique_flow(die, &model, &strict, merge_policy, ordering, probe);
+                let (plan2, phases2) = solve(&strict);
                 let better = (
                     plan2.additional_wrapper_cells(),
                     std::cmp::Reverse(plan2.reused_scan_ffs()),
@@ -505,6 +517,7 @@ fn clique_flow(
     die: &Netlist,
     model: &TimingModel<'_>,
     thresholds: &Thresholds,
+    cones: &ConeSet,
     merge_policy: MergePolicy,
     ordering: OrderingPolicy,
     probe: &dyn crate::testability::TestabilityProbe,
@@ -518,7 +531,9 @@ fn clique_flow(
             ReuseKind::Inbound => die.inbound_tsvs(),
             ReuseKind::Outbound => die.outbound_tsvs(),
         };
-        let g = graph::build(model, thresholds, probe, &available, &tsvs, direction);
+        let g = graph::build(
+            model, thresholds, probe, cones, &available, &tsvs, direction,
+        );
         let partition = clique::partition(&g, model, thresholds, merge_policy);
         phases.push(PhaseStats {
             direction,

@@ -89,21 +89,39 @@ impl SharingGraph {
     }
 }
 
+/// The cone set a flow shares across its graph builds: every scan
+/// flip-flop, then the inbound and the outbound TSVs.
+pub fn flow_cones(die: &Netlist) -> ConeSet {
+    let mut roots = die.flip_flops();
+    roots.extend(die.inbound_tsvs());
+    roots.extend(die.outbound_tsvs());
+    ConeSet::compute(die, &roots)
+}
+
 /// Build the sharing graph for one phase.
 ///
 /// `ffs` are the scan flip-flops still available; `tsvs` the TSVs of
 /// `direction`. `probe` prices overlapped-cone sharing (ignored when the
-/// thresholds forbid overlap).
+/// thresholds forbid overlap). `cones` holds the cones of every `ffs` and
+/// `tsvs` entry, and may hold more: a flow computes one set for all its
+/// builds. The build emits the words its own queries walked as
+/// `graph.cone_word_ops`.
+///
+/// # Panics
+///
+/// Panics if an eligible node is not a root of `cones`.
 pub fn build(
     model: &TimingModel<'_>,
     thresholds: &Thresholds,
     probe: &dyn TestabilityProbe,
+    cones: &ConeSet,
     ffs: &[GateId],
     tsvs: &[GateId],
     direction: ReuseKind,
 ) -> SharingGraph {
     let _span = obs::span("graph_build");
     let netlist: &Netlist = model.netlist();
+    let word_ops_before = cones.word_ops();
 
     // --- Node construction (Algorithm 1 lines 1–14) -----------------------
     let mut nodes: Vec<GateId> = Vec::new();
@@ -126,7 +144,15 @@ pub fn build(
         }
     }
 
-    let cones = ConeSet::compute(netlist, &nodes);
+    // Node `i`'s cones are row `rows[i]` of the shared set.
+    let rows: Vec<usize> = nodes
+        .iter()
+        .map(|&g| {
+            cones
+                .row_of(g)
+                .expect("every graph node must be a root of the cone set")
+        })
+        .collect();
 
     // --- Edge construction (Algorithm 1 lines 16–26) ----------------------
     // Each pair's admission — the timing what-if plus the cone-overlap /
@@ -140,7 +166,6 @@ pub fn build(
     let n = nodes.len();
     let kinds_ref = &kinds;
     let nodes_ref = &nodes;
-    let cones_ref = &cones;
     let scan_row = |i: usize| -> (usize, Vec<(usize, bool)>) {
         let mut pairs = 0usize;
         let mut admitted: Vec<(usize, bool)> = Vec::new();
@@ -170,13 +195,13 @@ pub fn build(
             // disjointness rule (correlated test values across two TSV
             // fanouts compound, and admitting them mostly destabilizes
             // the clique heuristic).
-            let overlapped = cones_ref.cones_overlap_at(i, j);
+            let overlapped = cones.cones_overlap_at(rows[i], rows[j]);
             let ff_pair = kinds_ref[i] == NodeKind::ScanFf || kinds_ref[j] == NodeKind::ScanFf;
             let admit = if !overlapped {
                 true
             } else if ff_pair && thresholds.allows_overlap() {
                 probe
-                    .sharing_cost(netlist, cones_ref, a, b)
+                    .sharing_cost(netlist, cones, a, b)
                     .within(thresholds.cov_th, thresholds.p_th)
             } else {
                 false
@@ -216,7 +241,7 @@ pub fn build(
     obs::count("graph.edges", edge_count as u64);
     obs::count("graph.overlap_edges", overlap_edges as u64);
     obs::count("graph.ineligible_tsvs", ineligible.len() as u64);
-    obs::count("graph.cone_word_ops", cones.word_ops());
+    obs::count("graph.cone_word_ops", cones.word_ops() - word_ops_before);
 
     SharingGraph {
         direction,
@@ -243,10 +268,11 @@ mod tests {
         placement: prebond3d_place::Placement,
         library: Library,
         report: prebond3d_sta::analysis::TimingReport,
+        cones: ConeSet,
     }
 
     fn rig() -> Rig {
-        let spec = itc99::DieSpec {
+        rig_for(&itc99::DieSpec {
             name: "die".into(),
             scan_flip_flops: 16,
             gates: 250,
@@ -255,8 +281,11 @@ mod tests {
             primary_inputs: 4,
             primary_outputs: 4,
             seed: 5,
-        };
-        let die = itc99::generate_die(&spec);
+        })
+    }
+
+    fn rig_for(spec: &itc99::DieSpec) -> Rig {
+        let die = itc99::generate_die(spec);
         let placement = place(&die, &PlaceConfig::default(), 1);
         let library = Library::nangate45_like();
         let report = analyze(
@@ -265,11 +294,13 @@ mod tests {
             &library,
             &StaConfig::with_period(Time(3000.0)),
         );
+        let cones = flow_cones(&die);
         Rig {
             die,
             placement,
             library,
             report,
+            cones,
         }
     }
 
@@ -282,6 +313,7 @@ mod tests {
             &model,
             &th,
             &StructuralProbe::default(),
+            &r.cones,
             &r.die.flip_flops(),
             &r.die.inbound_tsvs(),
             ReuseKind::Inbound,
@@ -313,6 +345,7 @@ mod tests {
             &model,
             &th,
             &probe,
+            &r.cones,
             &r.die.flip_flops(),
             &r.die.inbound_tsvs(),
             ReuseKind::Inbound,
@@ -321,6 +354,7 @@ mod tests {
             &model,
             &th.without_overlap(),
             &probe,
+            &r.cones,
             &r.die.flip_flops(),
             &r.die.inbound_tsvs(),
             ReuseKind::Inbound,
@@ -344,6 +378,7 @@ mod tests {
             &model,
             &loose,
             &probe,
+            &r.cones,
             &r.die.flip_flops(),
             &r.die.outbound_tsvs(),
             ReuseKind::Outbound,
@@ -352,11 +387,69 @@ mod tests {
             &model,
             &tight,
             &probe,
+            &r.cones,
             &r.die.flip_flops(),
             &r.die.outbound_tsvs(),
             ReuseKind::Outbound,
         );
         assert!(g_tight.edge_count < g_loose.edge_count);
+    }
+
+    /// A build over the flow's shared cone set (every flip-flop and both
+    /// TSV directions, rows in another order than the phase's nodes) gives
+    /// the graph and the per-build counters a set of the phase's own nodes
+    /// gives, inbound and outbound, on seeded dies.
+    #[test]
+    fn a_shared_cone_set_builds_the_same_graph_as_the_phase_own_set() {
+        let mut rng = prebond3d_rng::StdRng::seed_from_u64(0x5EED_C0E5);
+        let mut overlap_edges = 0;
+        for case in 0..3 {
+            let r = rig_for(&itc99::DieSpec {
+                name: format!("shared{case}"),
+                scan_flip_flops: rng.gen_range(10usize..30),
+                gates: rng.gen_range(200usize..400),
+                inbound_tsvs: rng.gen_range(4usize..16),
+                outbound_tsvs: rng.gen_range(4usize..16),
+                primary_inputs: 4,
+                primary_outputs: 4,
+                seed: rng.gen_range(0u64..10_000),
+            });
+            let model =
+                TimingModel::new(&r.die, &r.placement, &r.library, &r.report, &r.report, true);
+            let th = Thresholds::area_optimized(&r.library);
+            let probe = StructuralProbe::default();
+            let ffs = r.die.flip_flops();
+            for direction in [ReuseKind::Inbound, ReuseKind::Outbound] {
+                let tsvs = match direction {
+                    ReuseKind::Inbound => r.die.inbound_tsvs(),
+                    ReuseKind::Outbound => r.die.outbound_tsvs(),
+                };
+                let build_with = |cones: &ConeSet| {
+                    obs::capture_recorded(|| {
+                        build(&model, &th, &probe, cones, &ffs, &tsvs, direction)
+                    })
+                };
+                let (shared, shared_snap) = build_with(&r.cones);
+                let own = ConeSet::compute(&r.die, &shared.nodes);
+                let (alone, alone_snap) = build_with(&own);
+                let what = format!("case {case} {direction:?}");
+                assert_eq!(shared.nodes, alone.nodes, "{what}");
+                assert_eq!(shared.kinds, alone.kinds, "{what}");
+                for i in 0..shared.len() {
+                    assert_eq!(shared.neighbors(i), alone.neighbors(i), "{what} row {i}");
+                }
+                assert_eq!(shared.edge_count, alone.edge_count, "{what}");
+                assert_eq!(shared.overlap_edges, alone.overlap_edges, "{what}");
+                assert_eq!(shared.ineligible_tsvs, alone.ineligible_tsvs, "{what}");
+                for counter in ["graph.cone_word_ops", "graph.pairs_considered"] {
+                    let (a, b) = (shared_snap.counter(counter), alone_snap.counter(counter));
+                    assert_eq!(a, b, "{what} {counter}");
+                    assert!(a > 0, "{what} {counter}");
+                }
+                overlap_edges += shared.overlap_edges;
+            }
+        }
+        assert!(overlap_edges > 0, "the probe branch must be exercised");
     }
 
     #[test]
@@ -372,6 +465,7 @@ mod tests {
             &model,
             &th,
             &StructuralProbe::default(),
+            &r.cones,
             &r.die.flip_flops(),
             &r.die.outbound_tsvs(),
             ReuseKind::Outbound,

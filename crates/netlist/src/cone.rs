@@ -11,12 +11,10 @@
 //! callers use them, and they are the oracle for [`ConeSet::compute`].
 //! That builds all its roots' cones with a bit-parallel kernel, 64 roots
 //! per machine word, in two passes over the combinational order per 64
-//! roots (DESIGN.md §11). Graph construction roots its set at its node
-//! list and queries by row ([`ConeSet::cones_overlap_at`]). Each graph
-//! build computes its own set: one set shared across a flow's phases was
-//! measured on the benchmark's `table3_mid` workload (2-vCPU host) as no
-//! faster (2.85 s per pass against 2.59 s), with peak RSS up 16.6 %
-//! (35.6 → 41.6 MiB) against 8.6 % for a set per build.
+//! roots (DESIGN.md §11). A flow computes one set over all its scan
+//! flip-flops and TSVs and shares it across every graph build; a build
+//! maps its nodes to rows once ([`ConeSet::row_of`]) and queries by row
+//! ([`ConeSet::cones_overlap_at`]).
 
 use crate::bitset::BitSet;
 use crate::gate::GateId;
@@ -195,6 +193,12 @@ impl ConeSet {
     /// The roots this set was computed for, in row order.
     pub fn roots(&self) -> &[GateId] {
         &self.roots
+    }
+
+    /// The row of `root`, if `root` was in the computed set (the last row
+    /// holding it when it was given more than once).
+    pub fn row_of(&self, root: GateId) -> Option<usize> {
+        self.index_of.get(&root).copied()
     }
 
     /// Fan-in cone of `root`, if `root` was in the computed set.

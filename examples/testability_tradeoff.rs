@@ -23,6 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let die = itc99::generate_die(&spec.dies[1]);
     let placement = place(&die, &PlaceConfig::default(), 1);
     let library = Library::nangate45_like();
+    let cones = graph::flow_cones(&die);
     let report = analyze(&die, &placement, &library, &StaConfig::relaxed());
     let model = TimingModel::new(&die, &placement, &library, &report, &report, true);
     let probe = StructuralProbe::default();
@@ -54,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ReuseKind::Inbound => die.inbound_tsvs(),
                 ReuseKind::Outbound => die.outbound_tsvs(),
             };
-            let g = graph::build(&model, &th, &probe, &available, &tsvs, direction);
+            let g = graph::build(&model, &th, &probe, &cones, &available, &tsvs, direction);
             edges += g.edge_count;
             overlap_edges += g.overlap_edges;
             let partition = clique::partition(&g, &model, &th, MergePolicy::Accurate);
