@@ -2,6 +2,7 @@
 //! and [`checked_run_flow`], the flow call every experiment cell makes.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 
 use prebond3d_celllib::{Library, Time};
 use prebond3d_netlist::{itc99, Netlist};
@@ -29,62 +30,43 @@ impl DieCase {
     }
 }
 
-/// Benchmark subset selected by `PREBOND3D_CIRCUITS` (default: all six).
+/// The installed benchmark subset; `None` until [`select_circuits`] runs.
+static SELECTION: Mutex<Option<Result<Vec<&'static str>, String>>> = Mutex::new(None);
+
+/// Install the benchmark subset the experiments sweep: the selected
+/// names, or the message that explains why a selection matched none. The
+/// experiment driver parses it once from `PREBOND3D_CIRCUITS`.
+pub fn select_circuits(selection: Result<Vec<&'static str>, String>) {
+    *SELECTION.lock().unwrap() = Some(selection);
+}
+
+/// The installed benchmark subset (default: all six).
 ///
-/// Exits with a diagnostic when the selection matches nothing — an empty
-/// sweep would silently print empty tables, which always means a typo in
-/// the variable, never an intent.
+/// Exits with a diagnostic and [`crate::driver::EXIT_BAD_SELECTION`] when
+/// the selection matches nothing — an empty sweep would silently print
+/// empty tables, which always means a typo in the selection, never an
+/// intent.
 pub fn circuit_names() -> Vec<&'static str> {
     match try_circuit_names() {
         Ok(names) => names,
         Err(msg) => {
             eprintln!("error: {msg}");
-            std::process::exit(2);
+            std::process::exit(crate::driver::EXIT_BAD_SELECTION.into());
         }
     }
 }
 
 /// [`circuit_names`] that reports a bad selection instead of exiting.
 ///
-/// Unknown entries produce a warning (with the valid names); a selection
-/// matching *no* benchmark is an error.
-///
 /// # Errors
 ///
-/// `PREBOND3D_CIRCUITS` is set and selects no known benchmark.
+/// The installed selection matches no known benchmark.
 pub fn try_circuit_names() -> Result<Vec<&'static str>, String> {
-    let Ok(list) = std::env::var("PREBOND3D_CIRCUITS") else {
-        return Ok(itc99::CIRCUIT_NAMES.to_vec());
-    };
-    let entries: Vec<&str> = list
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .collect();
-    let unknown: Vec<&str> = entries
-        .iter()
-        .copied()
-        .filter(|e| !itc99::CIRCUIT_NAMES.contains(e))
-        .collect();
-    if !unknown.is_empty() {
-        eprintln!(
-            "warning: PREBOND3D_CIRCUITS entries [{}] match no benchmark (valid: {})",
-            unknown.join(", "),
-            itc99::CIRCUIT_NAMES.join(", ")
-        );
-    }
-    let selected: Vec<&'static str> = itc99::CIRCUIT_NAMES
-        .iter()
-        .copied()
-        .filter(|n| entries.contains(n))
-        .collect();
-    if selected.is_empty() {
-        return Err(format!(
-            "PREBOND3D_CIRCUITS=`{list}` selects no benchmark; valid names: {}",
-            itc99::CIRCUIT_NAMES.join(", ")
-        ));
-    }
-    Ok(selected)
+    SELECTION
+        .lock()
+        .unwrap()
+        .clone()
+        .unwrap_or_else(|| Ok(itc99::CIRCUIT_NAMES.to_vec()))
 }
 
 /// Generate and place all four dies of `name`.
@@ -227,7 +209,7 @@ pub fn checked_run_flow(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prebond3d_resilience::{budget, job};
+    use prebond3d_resilience::job;
 
     #[test]
     fn violation_policy_tracks_the_configuration() {
@@ -250,8 +232,6 @@ mod tests {
     fn slack_check_rejects_negative_and_nan_wns_and_allows_its_exemptions() {
         let ours = FlowConfig::performance_optimized(Method::Ours);
         let clock = Time(2500.0);
-        // Pin "unarmed" whatever the environment says.
-        budget::force_budget_ms(Some(None));
         check_slack("t", &ours, Time(0.0), clock).expect("zero slack meets timing");
         let err = check_slack("t", &ours, Time(-4.25), clock).unwrap_err();
         assert_eq!(err.exit_code(), 1);
@@ -275,7 +255,6 @@ mod tests {
         }
         // A job-scoped budget arms it for this thread only.
         let (armed, _) = job::run(Some(0), || check_slack("t", &ours, Time(-4.25), clock));
-        budget::force_budget_ms(None);
         armed.expect("an armed budget exempts the cell");
     }
 }

@@ -13,11 +13,15 @@
 //! experiment writes, and it is written atomically (temp file + rename),
 //! so a `SIGKILL` mid-write never leaves a torn report.
 //!
-//! The collector forces `prebond3d-obs` recording on for the duration of
-//! the run, independent of the `PREBOND3D_OBS` sink — so reports are
-//! always written, while event streaming stays opt-in. When no collector
+//! The collector holds an [`obs::record`] guard for the duration of the
+//! run, so its probes are live whatever else records. When no collector
 //! is active (unit tests calling `table3::run()` directly), the scopes
 //! degrade to plain calls and no checkpoint is touched.
+//!
+//! Where reports go and how they are written are the [`Settings`]
+//! installed with [`configure`]; the experiment driver parses them once
+//! from `PREBOND3D_REPORT_DIR`, `PREBOND3D_STABLE_MS` and
+//! `PREBOND3D_RESUME`.
 //!
 //! ## Parallel sections and determinism
 //!
@@ -32,7 +36,7 @@
 //! pool's nesting rule), and one entered from a capturing non-worker
 //! thread folds its workers' counters back into the capture — but only
 //! counters and histograms; its workers' spans stay per thread. With
-//! `PREBOND3D_STABLE_MS=1` the wall-clock fields are zeroed at [`finish`],
+//! [`Settings::stable_ms`] the wall-clock fields are zeroed at [`finish`],
 //! making reports byte-identical across runs — the mode the
 //! kill-and-resume determinism suite runs under.
 //!
@@ -41,7 +45,7 @@
 //! [`resilient_par_die_scopes`] persists one JSON line per completed unit
 //! to `results/checkpoint_<experiment>.json` (keyed by a config hash over
 //! the experiment name, the crate version and the circuit selection —
-//! deliberately *not* the thread count). With `PREBOND3D_RESUME=1`,
+//! deliberately *not* the thread count). With [`Settings::resume`],
 //! [`begin`] loads the checkpoint and finished units are skipped: their
 //! stored report section and decoded result are replayed, so an
 //! interrupted sweep converges to the same final reports as an
@@ -59,6 +63,44 @@ use prebond3d_obs as obs;
 use prebond3d_obs::json::Value;
 use prebond3d_pool as pool;
 use prebond3d_resilience as resil;
+
+/// How run reports are written.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Settings {
+    /// Where run reports and checkpoints go (default `results` in the
+    /// working directory).
+    pub dir: PathBuf,
+    /// Zero the wall-clock fields at [`finish`]. Timing is the only
+    /// nondeterministic content of a run report; zeroing it makes an
+    /// interrupted-and-resumed sweep byte-identical to an uninterrupted
+    /// one, which the kill-and-resume suite asserts.
+    pub stable_ms: bool,
+    /// Load the experiment's checkpoint at [`begin`] and skip the units
+    /// it holds (crash-safe resume).
+    pub resume: bool,
+}
+
+impl Default for Settings {
+    fn default() -> Self {
+        Settings {
+            dir: PathBuf::from("results"),
+            stable_ms: false,
+            resume: false,
+        }
+    }
+}
+
+/// The installed settings; `None` until [`configure`] runs.
+static SETTINGS: Mutex<Option<Settings>> = Mutex::new(None);
+
+/// Install the report settings every later [`begin`] and [`finish`] use.
+pub fn configure(settings: Settings) {
+    *SETTINGS.lock().unwrap() = Some(settings);
+}
+
+fn settings() -> Settings {
+    SETTINGS.lock().unwrap().clone().unwrap_or_default()
+}
 
 /// Completed-unit map loaded from (and appended to) the checkpoint file.
 struct Checkpoint {
@@ -104,7 +146,7 @@ fn config_hash(experiment: &str) -> u64 {
 }
 
 /// Start collecting a run report for `experiment`. Replaces any collector
-/// left over from an earlier, unfinished run. With `PREBOND3D_RESUME=1`
+/// left over from an earlier, unfinished run. With [`Settings::resume`]
 /// the experiment's checkpoint (if any, and only if its config hash
 /// matches) is loaded so finished units can be skipped; otherwise any
 /// stale checkpoint is deleted and the sweep starts fresh.
@@ -112,7 +154,7 @@ pub fn begin(experiment: &str) {
     let path = report_dir().join(format!("checkpoint_{experiment}.json"));
     let hash = config_hash(experiment);
     let mut done = BTreeMap::new();
-    if resil::resume_enabled() {
+    if settings().resume {
         for line in resil::io::load_checkpoint(&path, hash).unwrap_or_default() {
             match obs::json::parse(&line) {
                 Ok(entry) => {
@@ -285,7 +327,7 @@ where
 /// yields `None`, is recorded via [`record_failure`] and the rest of the
 /// sweep completes. Each *successful* unit is appended to the
 /// experiment's checkpoint as `{key, section, result}` (the result
-/// serialized by `encode`), and with `PREBOND3D_RESUME=1` previously
+/// serialized by `encode`), and with [`Settings::resume`] previously
 /// finished units are skipped: their stored section is replayed into the
 /// report and their result revived via `decode`. `scope` namespaces the
 /// checkpoint keys, so several scopes (the `all_experiments` driver runs
@@ -433,10 +475,9 @@ fn checkpoint_append(entry: &Value) {
     }
 }
 
-/// Where run reports and checkpoints go: `PREBOND3D_REPORT_DIR`,
-/// default `results` in the working directory.
+/// Where run reports and checkpoints go ([`Settings::dir`]).
 pub fn report_dir() -> PathBuf {
-    std::env::var("PREBOND3D_REPORT_DIR").map_or_else(|_| PathBuf::from("results"), PathBuf::from)
+    settings().dir
 }
 
 /// Atomic report write with a contextual error naming the file. Write
@@ -459,7 +500,7 @@ fn write_report(path: &std::path::Path, doc: &Value) -> bool {
 /// `elapsed_ms`), the `threads` count, any `*_ns` latency field, the
 /// memory-telemetry fields, and the *value* summary of every histogram
 /// object (`sum`, `max`, quantiles — the sample `count` is deterministic
-/// and survives) — the `PREBOND3D_STABLE_MS` normalization that makes
+/// and survives) — the [`Settings::stable_ms`] normalization that makes
 /// reports byte-comparable across runs and thread counts.
 pub(crate) fn zero_ms(v: &mut Value) {
     match v {
@@ -503,8 +544,8 @@ pub struct Summary {
     pub resume_skipped: u64,
 }
 
-/// Finish the report: write `results/run_<experiment>.json` (directory
-/// overridable via `PREBOND3D_REPORT_DIR`) and return its path. `None` when
+/// Finish the report: write `run_<experiment>.json` into
+/// [`Settings::dir`] and return its path. `None` when
 /// no collector is active. See [`finish_summary`] for the exit-code
 /// driving variant.
 pub fn finish() -> Option<PathBuf> {
@@ -524,6 +565,7 @@ pub fn finish_summary() -> Summary {
         };
     };
     let elapsed_ms = collector.started.elapsed().as_secs_f64() * 1.0e3;
+    let stable_ms = settings().stable_ms;
     let failures = collector.failures.len();
     let resume_skipped = collector.checkpoint.skipped;
 
@@ -586,7 +628,7 @@ pub fn finish_summary() -> Summary {
     // thread configuration, so under stable-ms the whole histogram —
     // including its count — is replaced by an empty one.
     let chunk_wait = pool::drain_chunk_wait();
-    let chunk_wait = if resil::stable_ms() {
+    let chunk_wait = if stable_ms {
         obs::hist::Hist::new()
     } else {
         chunk_wait
@@ -604,7 +646,7 @@ pub fn finish_summary() -> Summary {
         ("degradations", Value::Arr(degradations)),
         ("chaos", Value::obj(chaos_fields)),
     ]);
-    if resil::stable_ms() {
+    if stable_ms {
         zero_ms(&mut run_doc);
     }
     // A traced run flushes its timeline alongside the report, so a
@@ -668,7 +710,10 @@ pub(crate) mod tests {
     fn report_roundtrips_through_the_json_parser() {
         let _l = LOCK.lock().unwrap();
         let dir = temp_report_dir("rt");
-        std::env::set_var("PREBOND3D_REPORT_DIR", &dir);
+        configure(Settings {
+            dir: dir.clone(),
+            ..Settings::default()
+        });
 
         begin("unit");
         let v = die_scope("die0", || {
@@ -678,7 +723,7 @@ pub(crate) mod tests {
         });
         assert_eq!(v, 7);
         let path = finish().expect("report written");
-        std::env::remove_var("PREBOND3D_REPORT_DIR");
+        configure(Settings::default());
         let text = std::fs::read_to_string(&path).unwrap();
 
         let doc = prebond3d_obs::json::parse(&text).expect("valid JSON");
@@ -713,7 +758,10 @@ pub(crate) mod tests {
     fn parallel_sections_keep_submission_order_and_exact_counters() {
         let _l = LOCK.lock().unwrap();
         let dir = temp_report_dir("par");
-        std::env::set_var("PREBOND3D_REPORT_DIR", &dir);
+        configure(Settings {
+            dir: dir.clone(),
+            ..Settings::default()
+        });
 
         let cases: Vec<u64> = (0..6).collect();
         begin("unit_par");
@@ -733,7 +781,7 @@ pub(crate) mod tests {
         });
         assert_eq!(outs, [0, 2, 4, 6, 8, 10].map(Some));
         let path = finish().expect("report written");
-        std::env::remove_var("PREBOND3D_REPORT_DIR");
+        configure(Settings::default());
 
         let doc = prebond3d_obs::json::parse(&std::fs::read_to_string(&path).unwrap())
             .expect("valid JSON");
@@ -761,7 +809,10 @@ pub(crate) mod tests {
     fn failed_units_are_recorded_and_the_rest_survive() {
         let _l = LOCK.lock().unwrap();
         let dir = temp_report_dir("fail");
-        std::env::set_var("PREBOND3D_REPORT_DIR", &dir);
+        configure(Settings {
+            dir: dir.clone(),
+            ..Settings::default()
+        });
 
         begin("unit_fail");
         let outs = resilient_par_die_scopes(
@@ -777,7 +828,7 @@ pub(crate) mod tests {
         );
         assert_eq!(outs, vec![Some(10), None, Some(30)]);
         let summary = finish_summary();
-        std::env::remove_var("PREBOND3D_REPORT_DIR");
+        configure(Settings::default());
         assert_eq!(summary.failures, 1);
         let doc = prebond3d_obs::json::parse(
             &std::fs::read_to_string(summary.run_path.expect("report written")).unwrap(),
@@ -802,8 +853,12 @@ pub(crate) mod tests {
     fn checkpoint_resume_skips_finished_units() {
         let _l = LOCK.lock().unwrap();
         let dir = temp_report_dir("ckpt");
-        std::env::set_var("PREBOND3D_REPORT_DIR", &dir);
-        resil::force_stable_ms(Some(true));
+        let stable = Settings {
+            dir: dir.clone(),
+            stable_ms: true,
+            resume: false,
+        };
+        configure(stable.clone());
 
         let encode = |v: &usize| Value::from(*v);
         let decode = |v: &Value| v.as_u64().map(|n| n as usize);
@@ -833,7 +888,10 @@ pub(crate) mod tests {
         assert!(ckpt.exists(), "failed sweep keeps its checkpoint");
 
         // Resumed run: the two finished units are skipped, die3 runs.
-        resil::force_resume(Some(true));
+        configure(Settings {
+            resume: true,
+            ..stable.clone()
+        });
         begin("unit_resume");
         let outs = resilient_par_die_scopes(
             "t",
@@ -845,7 +903,7 @@ pub(crate) mod tests {
         );
         assert_eq!(outs, vec![Some(10), Some(20), Some(30)]);
         let second = finish_summary();
-        resil::force_resume(None);
+        configure(stable);
         assert_eq!(second.failures, 0);
         assert_eq!(second.resume_skipped, 2);
         assert!(!ckpt.exists(), "successful sweep removes its checkpoint");
@@ -869,8 +927,7 @@ pub(crate) mod tests {
             "resumed and fresh reports are byte-identical"
         );
 
-        resil::force_stable_ms(None);
-        std::env::remove_var("PREBOND3D_REPORT_DIR");
+        configure(Settings::default());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -878,8 +935,11 @@ pub(crate) mod tests {
     fn stable_ms_zeroes_every_clock_field() {
         let _l = LOCK.lock().unwrap();
         let dir = temp_report_dir("stable");
-        std::env::set_var("PREBOND3D_REPORT_DIR", &dir);
-        resil::force_stable_ms(Some(true));
+        configure(Settings {
+            dir: dir.clone(),
+            stable_ms: true,
+            resume: false,
+        });
 
         begin("unit_stable");
         die_scope("die0", || {
@@ -887,8 +947,7 @@ pub(crate) mod tests {
             std::thread::sleep(std::time::Duration::from_millis(2));
         });
         let run_path = finish().expect("report written");
-        resil::force_stable_ms(None);
-        std::env::remove_var("PREBOND3D_REPORT_DIR");
+        configure(Settings::default());
 
         fn assert_zero(v: &Value) {
             match v {
@@ -917,6 +976,23 @@ pub(crate) mod tests {
             "chunk counts depend on the thread configuration"
         );
         assert_zero(&doc);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_second_begin_without_finish_keeps_recording() {
+        let _l = LOCK.lock().unwrap();
+        let dir = temp_report_dir("rebegin");
+        configure(Settings {
+            dir: dir.clone(),
+            ..Settings::default()
+        });
+        begin("unit_abandoned");
+        begin("unit_rebegin");
+        obs::count("rebegin.counter", 5);
+        assert_eq!(obs::snapshot().counter("rebegin.counter"), 5);
+        finish().expect("report written");
+        configure(Settings::default());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,8 +1,8 @@
 //! # prebond3d-obs
 //!
 //! Structured observability for the prebond3d flow: hierarchical wall-clock
-//! **spans**, monotonic **counters**, last-value **gauges**, and pluggable
-//! **sinks** — with zero external dependencies (DESIGN.md §7) and
+//! **spans**, monotonic **counters**, last-value **gauges** and
+//! **histograms** — with zero external dependencies (DESIGN.md §7) and
 //! negligible overhead when disabled, so instrumentation stays compiled-in
 //! for release builds.
 //!
@@ -10,7 +10,7 @@
 //!
 //! ```
 //! # use prebond3d_obs as obs;
-//! let _rec = obs::record(); // aggregate even without a sink (e.g. tests)
+//! let _rec = obs::record(); // probes aggregate while a guard lives
 //! {
 //!     let _flow = obs::span("flow");
 //!     {
@@ -25,22 +25,18 @@
 //! # obs::reset();
 //! ```
 //!
-//! ## Sinks
+//! ## Outputs
 //!
-//! The `PREBOND3D_OBS` environment variable selects the sink on first use:
+//! Probes have two outputs:
 //!
-//! * `off` (default) — no output, no aggregation, near-zero cost: every
-//!   probe is one relaxed atomic load and an early return;
-//! * `text` — span completions stream to stderr, indented by nesting
-//!   depth; [`flush`] prints the counter/gauge table;
-//! * `json:<path>` — span completions append JSON-lines events to
-//!   `<path>`; [`flush`] appends aggregated `counters`/`gauges` records.
-//!
-//! Programs can override the environment with [`configure`]. Aggregation
-//! into the in-process registry (read via [`snapshot`]) happens whenever a
-//! sink is active *or* recording was forced on via [`record`] /
-//! [`set_recording`] — the experiment harness uses the latter to build
-//! machine-readable run reports regardless of sink choice.
+//! * the **aggregate registry**, read via [`snapshot`] or a [`capture`]:
+//!   it records while at least one [`record`] guard or
+//!   [`capture_recorded`] scope is live, on any thread. The experiment
+//!   harness builds its machine-readable run reports from it. With no
+//!   live scope, every probe is one relaxed atomic load and an early
+//!   return;
+//! * the **event timeline** ([`trace`]), armed only by
+//!   [`trace::configure`]: span completions become Chrome trace events.
 //!
 //! ## Threading
 //!
@@ -69,52 +65,11 @@ pub mod trace;
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
-use std::fs::OpenOptions;
-use std::io::{BufWriter, Write as _};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use json::Value;
-
-/// Where events go.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SinkConfig {
-    /// Drop everything (the default).
-    Off,
-    /// Human-readable lines on stderr.
-    Text,
-    /// JSON-lines appended to a file.
-    JsonFile(PathBuf),
-}
-
-impl SinkConfig {
-    /// Parse a `PREBOND3D_OBS` value. Unknown values fall back to `Off`
-    /// with a one-line warning on stderr.
-    pub fn from_env_value(value: &str) -> SinkConfig {
-        let v = value.trim();
-        if v.is_empty() || v.eq_ignore_ascii_case("off") || v == "0" {
-            SinkConfig::Off
-        } else if v.eq_ignore_ascii_case("text") || v == "1" {
-            SinkConfig::Text
-        } else if let Some(path) = v.strip_prefix("json:") {
-            SinkConfig::JsonFile(PathBuf::from(path))
-        } else {
-            eprintln!(
-                "[obs] unknown PREBOND3D_OBS value `{v}` (expected off|text|json:<path>); \
-                 observability stays off"
-            );
-            SinkConfig::Off
-        }
-    }
-}
-
-enum Sink {
-    Off,
-    Text,
-    Json(BufWriter<std::fs::File>),
-}
 
 /// Aggregated statistics for one span path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -192,19 +147,14 @@ impl Registry {
     }
 }
 
-struct State {
-    sink: Mutex<Sink>,
-    sink_active: AtomicBool,
-    recording: AtomicBool,
-    /// Number of live [`capture_recorded`] scopes (across all threads);
-    /// probes are active while it is non-zero. A counter rather than a
-    /// bool so concurrent request-scoped captures in a long-lived server
-    /// cannot turn recording off under each other.
-    forced: AtomicU64,
-    registry: Mutex<Registry>,
-}
+/// Number of live [`record`] guards (across all threads); probes
+/// aggregate while it is non-zero. A counter rather than a bool, so
+/// overlapping scopes — a second run report begun before the first
+/// finished, concurrent request-scoped captures in a long-lived server —
+/// never turn recording off under each other.
+static LIVE: AtomicU64 = AtomicU64::new(0);
 
-static STATE: OnceLock<State> = OnceLock::new();
+static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
 
 thread_local! {
     static STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
@@ -213,81 +163,32 @@ thread_local! {
     static LOCAL: RefCell<Option<Registry>> = const { RefCell::new(None) };
 }
 
-fn state() -> &'static State {
-    STATE.get_or_init(|| {
-        let st = State {
-            sink: Mutex::new(Sink::Off),
-            sink_active: AtomicBool::new(false),
-            recording: AtomicBool::new(false),
-            forced: AtomicU64::new(0),
-            registry: Mutex::new(Registry::default()),
-        };
-        let cfg = std::env::var("PREBOND3D_OBS")
-            .map_or(SinkConfig::Off, |v| SinkConfig::from_env_value(&v));
-        install_sink(&st, cfg);
-        st
-    })
+fn registry() -> &'static Mutex<Registry> {
+    REGISTRY.get_or_init(|| Mutex::new(Registry::default()))
 }
 
-fn install_sink(st: &State, cfg: SinkConfig) {
-    let sink = match cfg {
-        SinkConfig::Off => Sink::Off,
-        SinkConfig::Text => Sink::Text,
-        SinkConfig::JsonFile(path) => {
-            match OpenOptions::new().create(true).append(true).open(&path) {
-                Ok(f) => Sink::Json(BufWriter::new(f)),
-                Err(e) => {
-                    eprintln!(
-                        "[obs] cannot open {}: {e}; observability stays off",
-                        path.display()
-                    );
-                    Sink::Off
-                }
-            }
-        }
-    };
-    st.sink_active
-        .store(!matches!(sink, Sink::Off), Ordering::Relaxed);
-    *st.sink.lock().unwrap() = sink;
-}
-
-/// Replace the sink at runtime (overrides `PREBOND3D_OBS`).
-pub fn configure(cfg: SinkConfig) {
-    install_sink(state(), cfg);
-}
-
-/// Is any probe live (sink active or recording forced)?
+/// Is any probe live (a [`record`] guard or [`capture_recorded`] scope)?
 #[inline]
 pub fn is_active() -> bool {
-    let st = state();
-    st.sink_active.load(Ordering::Relaxed)
-        || st.recording.load(Ordering::Relaxed)
-        || st.forced.load(Ordering::Relaxed) > 0
+    LIVE.load(Ordering::Relaxed) > 0
 }
 
-/// Force aggregation on/off independently of the sink. Returns the
-/// previous value.
-pub fn set_recording(on: bool) -> bool {
-    state().recording.swap(on, Ordering::Relaxed)
-}
-
-/// RAII guard restoring the previous recording state on drop.
-pub struct RecordingGuard {
-    prev: bool,
-}
+/// Keeps probes live until dropped; see [`record`].
+pub struct RecordingGuard(());
 
 impl Drop for RecordingGuard {
     fn drop(&mut self) {
-        set_recording(self.prev);
+        LIVE.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
-/// Enable recording for a scope: `let _rec = obs::record();`.
+/// Enable recording for a scope: `let _rec = obs::record();`. Probes stay
+/// live until the last of all live guards drops, in whatever order they
+/// drop.
 #[must_use = "recording stops when the guard drops"]
 pub fn record() -> RecordingGuard {
-    RecordingGuard {
-        prev: set_recording(true),
-    }
+    LIVE.fetch_add(1, Ordering::Relaxed);
+    RecordingGuard(())
 }
 
 /// An in-flight span; completion is recorded when the guard drops.
@@ -343,13 +244,11 @@ impl Drop for Span {
                 Some(("path", path.as_str().into())),
             );
         }
-        // Aggregation (and sink streaming below) only under an active
-        // probe config; a trace-only run records the timeline and nothing
-        // else.
+        // Aggregation only while recording; a trace-only run records the
+        // timeline and nothing else.
         if !is_active() {
             return;
         }
-        let st = state();
         let captured = LOCAL.with(|l| {
             if let Some(reg) = l.borrow_mut().as_mut() {
                 reg.record_span(&path, self.name, depth, dur_ns);
@@ -359,47 +258,10 @@ impl Drop for Span {
             }
         });
         if !captured {
-            st.registry
+            registry()
                 .lock()
                 .unwrap()
                 .record_span(&path, self.name, depth, dur_ns);
-        }
-        if st.sink_active.load(Ordering::Relaxed) {
-            let mut sink = st.sink.lock().unwrap();
-            match &mut *sink {
-                Sink::Off => {}
-                Sink::Text => {
-                    eprintln!(
-                        "[obs] {:indent$}{}: {:.3} ms",
-                        "",
-                        self.name,
-                        dur_ns as f64 / 1.0e6,
-                        indent = depth * 2
-                    );
-                }
-                Sink::Json(w) => {
-                    // Chaos site: a trace-sink write error must never take
-                    // down the flow — the event is dropped and the run
-                    // report records the degradation.
-                    if let Some(e) = prebond3d_resilience::chaos::io_error("obs.sink") {
-                        prebond3d_resilience::degrade::record(
-                            "obs",
-                            "drop_trace_event",
-                            format!("trace sink write failed: {e}"),
-                        );
-                    } else {
-                        let ev = Value::obj([
-                            ("ev", "span".into()),
-                            ("path", path.as_str().into()),
-                            ("name", self.name.into()),
-                            ("depth", depth.into()),
-                            ("ns", (dur_ns as f64).into()),
-                        ]);
-                        let _ = writeln!(w, "{ev}");
-                        let _ = w.flush();
-                    }
-                }
-            }
         }
     }
 }
@@ -419,7 +281,7 @@ pub fn count(name: &'static str, delta: u64) {
         }
     });
     if !captured {
-        let mut reg = state().registry.lock().unwrap();
+        let mut reg = registry().lock().unwrap();
         *reg.counters.entry(name).or_insert(0) += delta;
     }
 }
@@ -442,7 +304,7 @@ pub fn hist(name: &'static str, value: u64) {
         }
     });
     if !captured {
-        let mut reg = state().registry.lock().unwrap();
+        let mut reg = registry().lock().unwrap();
         reg.hists.entry(name).or_default().record(value);
     }
 }
@@ -462,7 +324,7 @@ pub fn gauge(name: &'static str, value: u64) {
         }
     });
     if !captured {
-        let mut reg = state().registry.lock().unwrap();
+        let mut reg = registry().lock().unwrap();
         reg.gauges.insert(name, value);
     }
 }
@@ -566,7 +428,7 @@ impl Snapshot {
 
 /// Copy out the aggregate registry.
 pub fn snapshot() -> Snapshot {
-    state().registry.lock().unwrap().to_snapshot()
+    registry().lock().unwrap().to_snapshot()
 }
 
 /// Heap telemetry from the counting allocator as
@@ -595,8 +457,8 @@ pub fn alloc_stats() -> Option<(u64, u64, u64)> {
 /// never race on (or reset) the global registry, and the caller merges
 /// the returned snapshots in submission order. Nested captures stack;
 /// the previous registry is restored even when `f` unwinds. Probes are
-/// only live under a sink or [`record`] — the capture does not force
-/// recording on by itself.
+/// only live under [`record`] — the capture does not force recording on
+/// by itself.
 pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Snapshot) {
     let (out, reg) = capture_registry(f);
     (out, reg.to_snapshot())
@@ -674,70 +536,18 @@ impl Carry {
     }
 }
 
-/// [`capture`] with probes forced live for the closure's duration — the
+/// [`capture`] with probes live for the closure's duration — the
 /// request-scoped variant for long-lived servers: each job's flow records
-/// into its own thread-local registry regardless of sink choice, and the
-/// returned [`Snapshot`] is the job's telemetry payload.
-///
-/// Unlike [`record`] (a global bool whose guard restores the *previous*
-/// value, which is racy across concurrent scopes), this uses a depth
-/// counter, so any number of jobs may capture concurrently without turning
-/// each other's probes off.
+/// into its own thread-local registry, and the returned [`Snapshot`] is
+/// the job's telemetry payload. Any number of jobs may capture
+/// concurrently; see [`record`].
 pub fn capture_recorded<T>(f: impl FnOnce() -> T) -> (T, Snapshot) {
-    struct Forced;
-    impl Drop for Forced {
-        fn drop(&mut self) {
-            state().forced.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-    state().forced.fetch_add(1, Ordering::Relaxed);
-    let _forced = Forced;
+    let _live = record();
     capture(f)
 }
 
 /// Clear the aggregate registry (the harness calls this between dies).
 pub fn reset() {
-    let mut reg = state().registry.lock().unwrap();
+    let mut reg = registry().lock().unwrap();
     *reg = Registry::default();
-}
-
-/// Emit the aggregated counters/gauges to the sink (text table or JSON
-/// records) and flush file sinks. A no-op for `off`.
-pub fn flush() {
-    let st = state();
-    if !st.sink_active.load(Ordering::Relaxed) {
-        return;
-    }
-    let snap = snapshot();
-    let mut sink = st.sink.lock().unwrap();
-    match &mut *sink {
-        Sink::Off => {}
-        Sink::Text => {
-            for (name, v) in &snap.counters {
-                eprintln!("[obs] counter {name} = {v}");
-            }
-            for (name, v) in &snap.gauges {
-                eprintln!("[obs] gauge   {name} = {v}");
-            }
-        }
-        Sink::Json(w) => {
-            for (name, v) in &snap.counters {
-                let ev = Value::obj([
-                    ("ev", "counter".into()),
-                    ("name", name.as_str().into()),
-                    ("value", (*v).into()),
-                ]);
-                let _ = writeln!(w, "{ev}");
-            }
-            for (name, v) in &snap.gauges {
-                let ev = Value::obj([
-                    ("ev", "gauge".into()),
-                    ("name", name.as_str().into()),
-                    ("value", (*v).into()),
-                ]);
-                let _ = writeln!(w, "{ev}");
-            }
-            let _ = w.flush();
-        }
-    }
 }

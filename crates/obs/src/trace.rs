@@ -2,11 +2,10 @@
 //!
 //! Aggregate span stats (the `lib.rs` registry) answer "how long did phase
 //! X take in total"; this module answers "*when* did work happen, on which
-//! thread". Setting `PREBOND3D_TRACE=<path>` (or calling [`configure`])
-//! arms a process-global recorder: every completed [`crate::span`] becomes
-//! a `ph:"X"` *complete* event on its thread's track, instrumented
-//! subsystems add `ph:"i"` *instant* events (chaos firings, budget
-//! degradations, checkpoint writes — routed here via
+//! thread". [`configure`] arms a process-global recorder: every completed
+//! [`crate::span`] becomes a `ph:"X"` *complete* event on its thread's
+//! track, instrumented subsystems add `ph:"i"` *instant* events (chaos
+//! firings, budget degradations, checkpoint writes — routed here via
 //! `prebond3d_resilience::hooks`), and pool workers name their tracks via
 //! [`set_thread_name`]. [`flush`] writes the accumulated timeline as one
 //! JSON document —
@@ -43,12 +42,8 @@ struct Inner {
     dropped: u64,
 }
 
-struct TraceState {
-    armed: AtomicBool,
-    inner: Mutex<Inner>,
-}
-
-static STATE: OnceLock<TraceState> = OnceLock::new();
+static ARMED: AtomicBool = AtomicBool::new(false);
+static INNER: OnceLock<Mutex<Inner>> = OnceLock::new();
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
@@ -56,71 +51,43 @@ thread_local! {
     static TID: Cell<u64> = const { Cell::new(0) };
 }
 
-fn state() -> &'static TraceState {
-    STATE.get_or_init(|| {
-        let path = std::env::var("PREBOND3D_TRACE")
-            .ok()
-            .map(|v| v.trim().to_string())
-            .filter(|v| !v.is_empty())
-            .map(PathBuf::from);
-        let st = TraceState {
-            armed: AtomicBool::new(false),
-            inner: Mutex::new(Inner {
-                path: None,
-                events: Vec::new(),
-                epoch: Instant::now(),
-                dropped: 0,
-            }),
-        };
-        if let Some(path) = path {
-            arm(&st, path);
-        }
-        st
+fn recorder() -> &'static Mutex<Inner> {
+    INNER.get_or_init(|| {
+        Mutex::new(Inner {
+            path: None,
+            events: Vec::new(),
+            epoch: Instant::now(),
+            dropped: 0,
+        })
     })
 }
 
-fn arm(st: &TraceState, path: PathBuf) {
+/// Arm tracing to `path`, or disarm with `None` — the only way to arm
+/// the recorder. Arming resets the event buffer and the timeline epoch.
+pub fn configure(path: Option<PathBuf>) {
+    let armed = path.is_some();
     {
-        let mut inner = st.inner.lock().unwrap();
-        inner.path = Some(path);
+        let mut inner = recorder().lock().unwrap();
+        inner.path = path;
         inner.events.clear();
         inner.dropped = 0;
         inner.epoch = Instant::now();
     }
-    st.armed.store(true, Ordering::Relaxed);
-    install_panic_flush();
-    prebond3d_resilience::hooks::set_trace_hook(Some(resilience_instant));
-}
-
-/// The resilience-side hook: chaos firings, degradations and checkpoint
-/// appends become instant events on the emitting thread's track.
-fn resilience_instant(kind: &'static str, name: &str, detail: &str) {
-    instant(kind, name, detail);
-}
-
-/// Arm tracing to `path`, or disarm with `None` (overrides
-/// `PREBOND3D_TRACE`). Arming resets the event buffer and the timeline
-/// epoch.
-pub fn configure(path: Option<PathBuf>) {
-    let st = state();
-    match path {
-        Some(p) => arm(st, p),
-        None => {
-            st.armed.store(false, Ordering::Relaxed);
-            prebond3d_resilience::hooks::set_trace_hook(None);
-            let mut inner = st.inner.lock().unwrap();
-            inner.path = None;
-            inner.events.clear();
-            inner.dropped = 0;
-        }
+    ARMED.store(armed, Ordering::Relaxed);
+    if armed {
+        install_panic_flush();
+        // Chaos firings, degradations and checkpoint appends become
+        // instant events on the emitting thread's track.
+        prebond3d_resilience::hooks::set_trace_hook(Some(instant));
+    } else {
+        prebond3d_resilience::hooks::set_trace_hook(None);
     }
 }
 
-/// Is the timeline recorder armed? One relaxed atomic load after the
-/// first call (which resolves `PREBOND3D_TRACE` exactly once).
+/// Is the timeline recorder armed? One relaxed atomic load.
 #[inline]
 pub fn armed() -> bool {
-    state().armed.load(Ordering::Relaxed)
+    ARMED.load(Ordering::Relaxed)
 }
 
 /// The timeline epoch (`ts` 0). Span guards capture `Instant`s; events
@@ -178,8 +145,7 @@ pub fn set_thread_name(name: &str) {
     if !armed() {
         return;
     }
-    let st = state();
-    let mut inner = st.inner.lock().unwrap();
+    let mut inner = recorder().lock().unwrap();
     let t = TID.with(Cell::get);
     let t = if t != 0 {
         t
@@ -204,8 +170,7 @@ pub fn complete(
     if !armed() {
         return;
     }
-    let st = state();
-    let mut inner = st.inner.lock().unwrap();
+    let mut inner = recorder().lock().unwrap();
     let ts = micros_since_epoch(&inner, start);
     let t = tid(&mut inner);
     let mut fields = vec![
@@ -229,8 +194,7 @@ pub fn instant(cat: &'static str, name: &str, detail: &str) {
     if !armed() {
         return;
     }
-    let st = state();
-    let mut inner = st.inner.lock().unwrap();
+    let mut inner = recorder().lock().unwrap();
     let ts = micros_since_epoch(&inner, Instant::now());
     let t = tid(&mut inner);
     let ev = Value::obj([
@@ -254,8 +218,7 @@ pub fn flush() {
     if !armed() {
         return;
     }
-    let st = state();
-    let inner = st.inner.lock().unwrap();
+    let inner = recorder().lock().unwrap();
     let Some(path) = inner.path.clone() else {
         return;
     };
@@ -275,8 +238,7 @@ pub fn flush() {
 
 /// Number of buffered events (tests and diagnostics).
 pub fn event_count() -> usize {
-    let st = state();
-    st.inner.lock().unwrap().events.len()
+    recorder().lock().unwrap().events.len()
 }
 
 /// Flush the timeline when a panic unwinds past the flow, chaining the

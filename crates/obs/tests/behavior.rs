@@ -1,7 +1,7 @@
 //! Behavioral tests for the observability runtime: span nesting and
-//! ordering determinism, counter/gauge aggregation, and JSON-lines sink
-//! round-trips. The registry and sink are process-global, so every test
-//! serializes on one lock and leaves the state reset.
+//! ordering determinism, counter/gauge aggregation, and the recording
+//! scope. The registry and the recording count are process-global, so
+//! every test serializes on one lock and leaves the state reset.
 
 use std::sync::Mutex;
 
@@ -112,7 +112,6 @@ fn counters_sum_and_gauges_keep_the_last_value() {
 #[test]
 fn inactive_probes_record_nothing() {
     let _l = LOCK.lock().unwrap();
-    obs::configure(obs::SinkConfig::Off);
     obs::reset();
     assert!(!obs::is_active());
     {
@@ -124,56 +123,29 @@ fn inactive_probes_record_nothing() {
 }
 
 #[test]
-fn json_sink_round_trips_through_the_parser() {
+fn overlapping_record_guards_keep_probes_live_until_the_last_drops() {
     let _l = LOCK.lock().unwrap();
-    let path = std::env::temp_dir().join(format!(
-        "prebond3d_obs_roundtrip_{}.jsonl",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&path); // the sink appends
-    obs::reset();
-    obs::configure(obs::SinkConfig::JsonFile(path.clone()));
-    {
-        let _outer = obs::span("outer");
-        let _inner = obs::span("inner");
-        obs::count("events.seen", 12);
+    for first_drops_first in [true, false] {
+        obs::reset();
+        assert!(!obs::is_active());
+        let first = obs::record();
+        let second = obs::record();
+        let (early, late) = if first_drops_first {
+            (first, second)
+        } else {
+            (second, first)
+        };
+        drop(early);
+        assert!(obs::is_active(), "one guard still lives");
+        obs::count("guards.overlap", 1);
+        drop(late);
+        assert!(!obs::is_active(), "the last guard turns recording off");
+        obs::count("guards.after", 1);
+        let snap = obs::snapshot();
+        obs::reset();
+        assert_eq!(snap.counter("guards.overlap"), 1);
+        assert_eq!(snap.counter("guards.after"), 0);
     }
-    obs::flush();
-    obs::configure(obs::SinkConfig::Off);
-    obs::reset();
-
-    let text = std::fs::read_to_string(&path).expect("sink file exists");
-    let events: Vec<json::Value> = text
-        .lines()
-        .map(|l| json::parse(l).expect("every line is valid JSON"))
-        .collect();
-    let _ = std::fs::remove_file(&path);
-
-    let field = |v: &json::Value, k: &str| match v {
-        json::Value::Obj(m) => m.get(k).cloned().expect("field present"),
-        _ => panic!("event is not an object"),
-    };
-    let spans: Vec<&json::Value> = events
-        .iter()
-        .filter(|e| field(e, "ev") == json::Value::Str("span".into()))
-        .collect();
-    assert_eq!(spans.len(), 2);
-    assert_eq!(
-        field(spans[0], "path"),
-        json::Value::Str("outer/inner".into())
-    );
-    assert_eq!(field(spans[0], "depth"), json::Value::Num(1.0));
-    assert_eq!(field(spans[1], "path"), json::Value::Str("outer".into()));
-
-    let counter = events
-        .iter()
-        .find(|e| field(e, "ev") == json::Value::Str("counter".into()))
-        .expect("flush appends the counter record");
-    assert_eq!(
-        field(counter, "name"),
-        json::Value::Str("events.seen".into())
-    );
-    assert_eq!(field(counter, "value"), json::Value::Num(12.0));
 }
 
 #[test]

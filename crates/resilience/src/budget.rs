@@ -1,8 +1,8 @@
 //! Cooperative phase deadlines.
 //!
-//! `PREBOND3D_BUDGET_MS=<ms>` gives every *phase* (PODEM search, fault
-//! simulation, clique merging, annealing, exact search) the same wall-clock
-//! budget, counted from the moment the phase constructs its [`Deadline`].
+//! [`set_budget_ms`] gives every *phase* (PODEM search, fault simulation,
+//! clique merging, annealing, exact search) the same wall-clock budget,
+//! counted from the moment the phase constructs its [`Deadline`].
 //! The long loops poll [`Deadline::expired`] every few hundred iterations
 //! and degrade gracefully on expiry: PODEM aborts the fault with a reason,
 //! annealing returns best-so-far, exact clique search returns its
@@ -13,7 +13,7 @@
 //! check is a branch on `Option::None` — no clock reads, so unbudgeted
 //! runs stay exactly as deterministic as before.
 
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// A point in time after which a phase should wind down. `Copy`, cheap to
@@ -37,8 +37,7 @@ impl Deadline {
         }
     }
 
-    /// The deadline for a phase starting now: `PREBOND3D_BUDGET_MS` from
-    /// the environment (or the [`force_budget_ms`] override), else
+    /// The deadline for a phase starting now: [`budget_ms`] from now, else
     /// [`Deadline::none`].
     pub fn for_phase() -> Self {
         match budget_ms() {
@@ -67,24 +66,20 @@ impl Default for Deadline {
     }
 }
 
-/// `-2` = unset (consult env), `-1` = forced off, `>= 0` = forced value.
-static BUDGET_OVERRIDE: AtomicI64 = AtomicI64::new(-2);
+/// The process-wide per-phase budget, set by [`set_budget_ms`].
+static PROCESS_BUDGET_MS: Mutex<Option<u64>> = Mutex::new(None);
 
-/// The configured per-phase budget in milliseconds, if any. Resolution
-/// order: the thread's job budget (a serving job's `budget_ms`, see
-/// [`crate::job::run`]), the process override ([`force_budget_ms`]), then
-/// `PREBOND3D_BUDGET_MS`.
+/// The configured per-phase budget in milliseconds, if any: the thread's
+/// job budget (a serving job's `budget_ms`, see [`crate::job::run`]), else
+/// the process budget ([`set_budget_ms`]).
 pub fn budget_ms() -> Option<u64> {
-    if let Some(ms) = crate::job::with(|c| c.budget_ms) {
-        return Some(ms);
-    }
-    match BUDGET_OVERRIDE.load(Ordering::Relaxed) {
-        -1 => None,
-        ms if ms >= 0 => Some(ms as u64),
-        _ => std::env::var("PREBOND3D_BUDGET_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok()),
-    }
+    crate::job::with(|c| c.budget_ms).or_else(|| *PROCESS_BUDGET_MS.lock().unwrap())
+}
+
+/// Set (or with `None` clear) the per-phase budget for every thread that
+/// runs outside a budgeted job.
+pub fn set_budget_ms(ms: Option<u64>) {
+    *PROCESS_BUDGET_MS.lock().unwrap() = ms;
 }
 
 /// Is a phase budget configured at all? (The bench harness's slack
@@ -94,23 +89,12 @@ pub fn budget_armed() -> bool {
     budget_ms().is_some()
 }
 
-/// Force the per-phase budget for this process regardless of the
-/// environment; `Some(None)` forces *no* budget, `None` restores
-/// env-driven behavior. Test hook.
-pub fn force_budget_ms(v: Option<Option<u64>>) {
-    BUDGET_OVERRIDE.store(
-        match v {
-            None => -2,
-            Some(None) => -1,
-            Some(Some(ms)) => i64::try_from(ms).unwrap_or(i64::MAX),
-        },
-        Ordering::Relaxed,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The process budget is global; serialize the tests that set it.
+    static LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn none_never_expires() {
@@ -133,8 +117,9 @@ mod tests {
     }
 
     #[test]
-    fn thread_override_beats_process_override_and_restores() {
-        force_budget_ms(Some(Some(500)));
+    fn job_budget_beats_the_process_budget_and_restores() {
+        let _l = LOCK.lock().unwrap();
+        set_budget_ms(Some(500));
         assert_eq!(budget_ms(), Some(500));
         let (out, _) = crate::job::run(Some(7), || {
             assert_eq!(budget_ms(), Some(7));
@@ -144,7 +129,7 @@ mod tests {
         assert_eq!(out, Some(7));
         assert_eq!(budget_ms(), Some(500), "thread override restored");
         crate::job::run(None, || assert_eq!(budget_ms(), Some(500)));
-        force_budget_ms(None);
+        set_budget_ms(None);
     }
 
     #[test]
@@ -167,14 +152,14 @@ mod tests {
     }
 
     #[test]
-    fn override_beats_environment() {
-        force_budget_ms(Some(Some(5)));
+    fn process_budget_arms_every_phase_until_cleared() {
+        let _l = LOCK.lock().unwrap();
+        set_budget_ms(Some(5));
         assert_eq!(budget_ms(), Some(5));
         assert!(budget_armed());
         assert!(Deadline::for_phase().is_armed());
-        force_budget_ms(Some(None));
+        set_budget_ms(None);
         assert_eq!(budget_ms(), None);
         assert!(!Deadline::for_phase().is_armed());
-        force_budget_ms(None);
     }
 }

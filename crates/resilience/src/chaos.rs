@@ -1,6 +1,6 @@
 //! Deterministic, seeded fault injection.
 //!
-//! `PREBOND3D_CHAOS=<seed>:<rate>` arms the registry: every instrumented
+//! [`install`] arms the registry with a `(seed, rate)`: every instrumented
 //! site keeps a per-site call counter, and call `k` at site `s` injects a
 //! fault iff `fnv1a(seed ‖ s ‖ k)` maps below `rate` — reproducible for a
 //! given seed regardless of what else the process does at *other* sites
@@ -13,14 +13,13 @@
 //! | `pool.worker`   | panic inside a pool worker closure     |
 //! | `timing.elmore` | NaN/∞ perturbation of an Elmore delay  |
 //! | `io.write`      | `io::Error` on a report/checkpoint write |
-//! | `obs.sink`      | `io::Error` on a trace-sink write      |
 //!
 //! Every injection is recorded in a process-global event log that the
 //! bench collector drains into the run report, so the chaos suite can
 //! assert each injected fault was recovered, degraded, or reported.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use crate::{fnv1a, fnv1a_more};
 
@@ -64,78 +63,36 @@ struct Config {
     rate: f64,
 }
 
-struct Registry {
-    config: Option<Config>,
-    /// `site → calls so far` (site names are interned `&'static str`s).
-    counters: Mutex<Vec<(&'static str, AtomicU64)>>,
-    events: Mutex<Vec<ChaosEvent>>,
-}
+/// Whether a config is installed: the disarmed check at every site is
+/// this one load. It publishes nothing; the config itself is read under
+/// its lock.
+static ARMED: AtomicBool = AtomicBool::new(false);
+static CONFIG: Mutex<Option<Config>> = Mutex::new(None);
+/// `site → calls so far` (site names are interned `&'static str`s).
+static COUNTERS: Mutex<Vec<(&'static str, AtomicU64)>> = Mutex::new(Vec::new());
+static EVENTS: Mutex<Vec<ChaosEvent>> = Mutex::new(Vec::new());
 
-static REGISTRY: OnceLock<Registry> = OnceLock::new();
-
-fn parse_env(v: &str) -> Option<Config> {
-    let (seed, rate) = v.split_once(':')?;
-    let seed = seed.trim().parse::<u64>().ok()?;
-    let rate = rate.trim().parse::<f64>().ok()?;
-    if !(0.0..=1.0).contains(&rate) {
-        eprintln!("[chaos] PREBOND3D_CHAOS rate {rate} outside [0,1]; chaos stays off");
-        return None;
-    }
-    Some(Config { seed, rate })
-}
-
-fn registry() -> &'static Registry {
-    REGISTRY.get_or_init(|| {
-        let config = std::env::var("PREBOND3D_CHAOS")
-            .ok()
-            .as_deref()
-            .and_then(|v| {
-                let parsed = parse_env(v);
-                if parsed.is_none() && !v.trim().is_empty() {
-                    eprintln!("[chaos] cannot parse PREBOND3D_CHAOS=`{v}` (want `<seed>:<rate>`)");
-                }
-                parsed
-            });
-        Registry {
-            config,
-            counters: Mutex::new(Vec::new()),
-            events: Mutex::new(Vec::new()),
-        }
-    })
-}
-
-/// Programmatic override for the chaos suite: arm with `(seed, rate)` or
-/// disarm with `None`. Must be called before the first site is exercised
-/// in env-armed processes only if the env is unset; in practice the tests
-/// run with the env unset and install per-seed configs between runs.
+/// Arm injection with `(seed, rate)`, or disarm with `None` — the only
+/// arming path. Resets the per-site counters and the event log, so each
+/// install starts a reproducible schedule.
 pub fn install(config: Option<(u64, f64)>) {
-    let reg = registry();
-    // OnceLock holds the registry; the config lives behind a second cell
-    // so tests can swap seeds. Interior mutability via a dedicated lock.
-    OVERRIDE
-        .get_or_init(|| Mutex::new(None))
-        .lock()
-        .unwrap()
-        .replace(config.map(|(seed, rate)| Config { seed, rate }));
-    // Reset per-site counters and the event log for the new run.
-    reg.counters.lock().unwrap().clear();
-    reg.events.lock().unwrap().clear();
+    let mut current = CONFIG.lock().unwrap();
+    *current = config.map(|(seed, rate)| Config { seed, rate });
+    COUNTERS.lock().unwrap().clear();
+    EVENTS.lock().unwrap().clear();
+    ARMED.store(current.is_some(), Ordering::Relaxed);
 }
-
-static OVERRIDE: OnceLock<Mutex<Option<Option<Config>>>> = OnceLock::new();
 
 fn active_config() -> Option<Config> {
-    if let Some(m) = OVERRIDE.get() {
-        if let Some(over) = *m.lock().unwrap() {
-            return over;
-        }
+    if !ARMED.load(Ordering::Relaxed) {
+        return None;
     }
-    registry().config
+    *CONFIG.lock().unwrap()
 }
 
 /// Is chaos injection armed at all?
 pub fn armed() -> bool {
-    active_config().is_some()
+    ARMED.load(Ordering::Relaxed)
 }
 
 /// The armed `(seed, rate)`, if any — echoed into the run report so a
@@ -148,9 +105,8 @@ pub fn config() -> Option<(u64, f64)> {
 /// when this call injects.
 fn roll(site: &'static str) -> Option<u64> {
     let cfg = active_config()?;
-    let reg = registry();
     let seq = {
-        let mut counters = reg.counters.lock().unwrap();
+        let mut counters = COUNTERS.lock().unwrap();
         match counters.iter().find(|(s, _)| *s == site) {
             Some((_, c)) => c.fetch_add(1, Ordering::Relaxed) + 1,
             None => {
@@ -169,11 +125,7 @@ fn roll(site: &'static str) -> Option<u64> {
 }
 
 fn record(site: &'static str, kind: ChaosKind, seq: u64) {
-    registry()
-        .events
-        .lock()
-        .unwrap()
-        .push(ChaosEvent { site, kind, seq });
+    EVENTS.lock().unwrap().push(ChaosEvent { site, kind, seq });
     crate::hooks::emit("chaos", site, kind.label());
 }
 
@@ -224,12 +176,12 @@ pub fn perturb(site: &'static str, value: f64) -> f64 {
 
 /// Drain the event log (the collector calls this once per `finish`).
 pub fn drain_events() -> Vec<ChaosEvent> {
-    std::mem::take(&mut *registry().events.lock().unwrap())
+    std::mem::take(&mut *EVENTS.lock().unwrap())
 }
 
 /// Copy of the event log without draining (test assertions).
 pub fn events() -> Vec<ChaosEvent> {
-    registry().events.lock().unwrap().clone()
+    EVENTS.lock().unwrap().clone()
 }
 
 #[cfg(test)]

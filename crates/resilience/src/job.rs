@@ -6,7 +6,7 @@
 //! ([`current`] + [`install`]), so a parallel region inside a job stays
 //! budgeted and charges its degradations to that job — never to another
 //! job in flight. Threads outside any job have the empty context: the
-//! ambient budget applies and degradations go to the process registry.
+//! process budget applies and degradations go to the process registry.
 
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
@@ -17,7 +17,7 @@ use crate::degrade::Degradation;
 #[derive(Debug, Clone, Default)]
 pub struct JobContext {
     /// The job's per-phase budget in milliseconds; `None` falls through
-    /// to the process override and the environment.
+    /// to the process budget.
     pub(crate) budget_ms: Option<u64>,
     /// Where degradations are recorded; `None` is the process registry.
     pub(crate) sink: Option<Arc<Mutex<Vec<Degradation>>>>,

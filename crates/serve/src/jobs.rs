@@ -9,7 +9,7 @@
 //! | 0    | success |
 //! | 1    | rejected by the static admission gate: the die's wrapper boundary is statically untestable (`prebond3d_dataflow::boundary::check`), so the flow never runs |
 //! | 2    | bad job spec: unknown circuit/die, unparsable inline netlist |
-//! | 3    | degraded: the flow completed but recorded degradations (e.g. a `PREBOND3D_BUDGET_MS` phase deadline expired) |
+//! | 3    | degraded: the flow completed but recorded degradations (e.g. a phase deadline from the job's `budget_ms` expired) |
 //! | 4    | fatal: flow error or escaped panic, isolated to this job |
 //!
 //! The `done` frame separates the **deterministic report** (plan,

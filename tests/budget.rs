@@ -1,5 +1,5 @@
-//! Phase-budget degradation end to end (DESIGN.md §10): with
-//! `PREBOND3D_BUDGET_MS` armed at zero, every budgeted search the flow
+//! Phase-budget degradation end to end (DESIGN.md §10): with the process
+//! budget (`PREBOND3D_BUDGET_MS`) armed at zero, every budgeted search the flow
 //! runs — the annealer, clique merging, the PODEM random and
 //! deterministic phases, compaction — must cut itself off at
 //! its first deadline poll, return its best-so-far (or abort-with-reason)
@@ -23,8 +23,11 @@ fn zero_budget_degrades_every_phase_and_still_meets_the_slack_contract() {
     let dir = std::env::temp_dir().join(format!("prebond3d-budget-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp report dir");
-    std::env::set_var("PREBOND3D_REPORT_DIR", &dir);
-    budget::force_budget_ms(Some(Some(0)));
+    report::configure(report::Settings {
+        dir: dir.clone(),
+        ..report::Settings::default()
+    });
+    budget::set_budget_ms(Some(0));
     let t = Instant::now();
 
     let spec = itc99::circuit("b12").expect("known benchmark");
@@ -50,7 +53,7 @@ fn zero_budget_degrades_every_phase_and_still_meets_the_slack_contract() {
         atpg.test_coverage()
     });
     let run_path = report::finish().expect("report written");
-    budget::force_budget_ms(None);
+    budget::set_budget_ms(None);
 
     // Termination: every poll interval is a few hundred iterations, so a
     // zero budget means each phase does at most one interval of work. The
@@ -94,6 +97,6 @@ fn zero_budget_degrades_every_phase_and_still_meets_the_slack_contract() {
         );
     }
 
-    std::env::remove_var("PREBOND3D_REPORT_DIR");
+    report::configure(report::Settings::default());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,7 +6,7 @@
 //! error — never silently swallowed.
 //!
 //! Each seed runs a three-die sweep through the real
-//! `driver::run` / `resilient_par_die_scopes` pipeline with every chaos
+//! `driver::execute` / `resilient_par_die_scopes` pipeline with every chaos
 //! site reachable from inside a unit closure:
 //!
 //! * `netlist.load`  — die generation panics (corrupt benchmark stand-in)
@@ -99,7 +99,10 @@ fn seeded_chaos_sweep_never_escapes_and_accounts_for_every_fault() {
     let base = std::env::temp_dir().join(format!("prebond3d-chaos-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     std::fs::create_dir_all(&base).expect("temp report dir");
-    std::env::set_var("PREBOND3D_REPORT_DIR", &base);
+    report::configure(report::Settings {
+        dir: base.clone(),
+        ..report::Settings::default()
+    });
 
     let golden: BTreeSet<String> = include_str!("golden/run_report.schema.txt")
         .lines()
@@ -116,7 +119,7 @@ fn seeded_chaos_sweep_never_escapes_and_accounts_for_every_fault() {
         // Alternate serial and 2-thread pools so both the serial chunk
         // loop and the worker-loop poison path see injections.
         let threads = if seed % 2 == 0 { 1 } else { 2 };
-        let code = with_threads(threads, || driver::run(&exp, run_units));
+        let code = with_threads(threads, || driver::execute(&exp, run_units));
         chaos::install(None);
 
         assert_ne!(
@@ -205,6 +208,6 @@ fn seeded_chaos_sweep_never_escapes_and_accounts_for_every_fault() {
     );
     eprintln!("chaos sweep: {SEEDS} seeds, {panics} panics, {ios} io errors, {non_finites} non-finite injections — all accounted for");
 
-    std::env::remove_var("PREBOND3D_REPORT_DIR");
+    report::configure(report::Settings::default());
     let _ = std::fs::remove_dir_all(&base);
 }

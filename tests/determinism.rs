@@ -17,9 +17,9 @@ use prebond3d::celllib::Library;
 use prebond3d::netlist::{itc99, Netlist};
 use prebond3d::place::{place, PlaceConfig};
 use prebond3d::wcm::flow::{run_flow, FlowConfig, FlowResult, Method, Scenario};
-use prebond3d_bench::{report, table2};
+use prebond3d_bench::{context, report, table3};
+use prebond3d_obs::json::{parse, Value};
 use prebond3d_pool::with_threads;
-use prebond3d_resilience as resil;
 use prebond3d_rng::StdRng;
 
 /// The deterministic substrates the suite sweeps: a small and a medium
@@ -200,7 +200,7 @@ fn wide_lane_masks_and_flow_are_thread_invariant() {
 /// mid-run and resumed — even with a torn final checkpoint line and a
 /// different thread count — must converge to final reports byte-identical
 /// to an uninterrupted run. Wall-clock fields are zeroed via the
-/// `PREBOND3D_STABLE_MS` switch so the comparison is exact.
+/// stable-ms report setting so the comparison is exact.
 #[test]
 fn killed_and_resumed_sweep_produces_byte_identical_reports() {
     let base = std::env::temp_dir().join(format!("prebond3d-resume-{}", std::process::id()));
@@ -208,8 +208,12 @@ fn killed_and_resumed_sweep_produces_byte_identical_reports() {
     let dir_b = base.join("resumed");
     std::fs::create_dir_all(&dir_a).expect("temp dirs");
     std::fs::create_dir_all(&dir_b).expect("temp dirs");
-    std::env::set_var("PREBOND3D_CIRCUITS", "b11");
-    resil::force_stable_ms(Some(true));
+    context::select_circuits(Ok(vec!["b11"]));
+    let settings = |dir: &std::path::Path, resume: bool| report::Settings {
+        dir: dir.to_path_buf(),
+        stable_ms: true,
+        resume,
+    };
 
     let read = |dir: &std::path::Path, name: &str| {
         std::fs::read_to_string(dir.join(name))
@@ -217,10 +221,10 @@ fn killed_and_resumed_sweep_produces_byte_identical_reports() {
     };
 
     // Reference: one uninterrupted run, serial.
-    std::env::set_var("PREBOND3D_REPORT_DIR", &dir_a);
+    report::configure(settings(&dir_a, false));
     with_threads(1, || {
-        report::begin("table2");
-        table2::run();
+        report::begin("table3");
+        table3::run();
         report::finish_summary()
     });
 
@@ -228,38 +232,59 @@ fn killed_and_resumed_sweep_produces_byte_identical_reports() {
     // the collector without `finish` (the process "died" before writing
     // reports) and tear the checkpoint's final line mid-entry, as a kill
     // during an append would.
-    std::env::set_var("PREBOND3D_REPORT_DIR", &dir_b);
+    report::configure(settings(&dir_b, false));
     with_threads(2, || {
-        report::begin("table2");
-        table2::run();
+        report::begin("table3");
+        table3::run();
     });
-    let ckpt = dir_b.join("checkpoint_table2.json");
-    let text = read(&dir_b, "checkpoint_table2.json");
+    let ckpt = dir_b.join("checkpoint_table3.json");
+    let text = read(&dir_b, "checkpoint_table3.json");
     assert!(
         text.lines().count() > 2,
         "checkpoint should hold several completed units"
     );
+    let torn_key = parse(text.lines().last().expect("a final entry"))
+        .expect("the final entry parses before it is torn")
+        .get("key")
+        .and_then(Value::as_str)
+        .expect("entries carry their key")
+        .to_string();
     std::fs::write(&ckpt, &text[..text.len() - 7]).expect("tear checkpoint");
 
     // Resume at a different thread count; the torn unit re-runs, the rest
     // replay from the checkpoint.
-    resil::force_resume(Some(true));
+    report::configure(settings(&dir_b, true));
     let summary = with_threads(4, || {
-        report::begin("table2");
-        table2::run();
+        report::begin("table3");
+        table3::run();
         report::finish_summary()
     });
-    resil::force_resume(None);
     assert!(
         summary.resume_skipped > 0,
         "resume should replay finished units from the checkpoint"
     );
     assert_eq!(summary.failures, 0, "resumed sweep should be clean");
 
+    let resumed = read(&dir_b, "run_table3.json");
     assert_eq!(
-        read(&dir_a, "run_table2.json"),
-        read(&dir_b, "run_table2.json"),
-        "run_table2.json: resumed run diverges from the uninterrupted run"
+        read(&dir_a, "run_table3.json"),
+        resumed,
+        "run_table3.json: resumed run diverges from the uninterrupted run"
+    );
+    // The re-run unit recorded its telemetry: the comparison above saw
+    // real counters, not two empty sections.
+    let torn_label = torn_key.strip_prefix("table3/").expect("table3 scope");
+    let doc = parse(&resumed).expect("run report parses");
+    let torn_section = doc
+        .get("sections")
+        .and_then(Value::as_arr)
+        .expect("sections")
+        .iter()
+        .find(|s| s.get("label").and_then(Value::as_str) == Some(torn_label))
+        .unwrap_or_else(|| panic!("no section for the re-run unit {torn_label}"));
+    assert!(
+        matches!(torn_section.get("counters"), Some(Value::Obj(c)) if !c.is_empty()),
+        "the re-run unit {torn_label} recorded no counters"
     );
     // The run report is the only file a finished sweep leaves behind.
     for dir in [&dir_a, &dir_b] {
@@ -267,15 +292,14 @@ fn killed_and_resumed_sweep_produces_byte_identical_reports() {
             .expect("report dir")
             .map(|e| e.expect("dir entry").file_name())
             .collect();
-        assert_eq!(files, ["run_table2.json"], "{}", dir.display());
+        assert_eq!(files, ["run_table3.json"], "{}", dir.display());
     }
     assert!(
         !ckpt.exists(),
         "checkpoint should be removed after a clean finish"
     );
 
-    resil::force_stable_ms(None);
-    std::env::remove_var("PREBOND3D_REPORT_DIR");
-    std::env::remove_var("PREBOND3D_CIRCUITS");
+    report::configure(report::Settings::default());
+    context::select_circuits(Ok(itc99::CIRCUIT_NAMES.to_vec()));
     let _ = std::fs::remove_dir_all(&base);
 }

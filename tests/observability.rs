@@ -73,12 +73,7 @@ fn run_flow_emits_the_expected_phase_spans() {
 #[test]
 fn probes_stay_silent_without_recording_or_sink() {
     let _l = LOCK.lock().unwrap();
-    obs::configure(obs::SinkConfig::Off);
-    // `PREBOND3D_OBS` may have installed a sink in this process; only
-    // assert when the probes are genuinely inactive.
-    if obs::is_active() {
-        return;
-    }
+    assert!(!obs::is_active(), "no probe is live outside a record scope");
     let spec = itc99::circuit("b11").expect("known benchmark");
     let netlist = itc99::generate_die(&spec.dies[0]);
     let placement = place(&netlist, &PlaceConfig::default(), 1);
@@ -90,10 +85,8 @@ fn probes_stay_silent_without_recording_or_sink() {
         allow_overlap: None,
     };
     run_flow(&netlist, &placement, &lib, &config).expect("flow runs");
-    if !obs::is_active() {
-        assert!(
-            obs::snapshot().is_empty(),
-            "inactive probes must not aggregate"
-        );
-    }
+    assert!(
+        obs::snapshot().is_empty(),
+        "inactive probes must not aggregate"
+    );
 }

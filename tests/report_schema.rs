@@ -52,14 +52,17 @@ fn assert_matches_golden(actual: &str, golden: &str, which: &str, golden_file: &
     );
 }
 
-/// Single test function: `begin`/`finish` use process-global state and
-/// `PREBOND3D_REPORT_DIR` is a process-global env var, so the whole
-/// scenario runs in one sequential body.
+/// Single test function: `begin`/`finish` and the report settings are
+/// process-global state, so the whole scenario runs in one sequential
+/// body.
 #[test]
 fn report_files_match_the_golden_schemas() {
     let dir = std::env::temp_dir().join(format!("prebond3d-schema-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp report dir");
-    std::env::set_var("PREBOND3D_REPORT_DIR", &dir);
+    report::configure(report::Settings {
+        dir: dir.clone(),
+        ..report::Settings::default()
+    });
 
     // Arm chaos at rate 0 (armed but never fires) and stage one synthetic
     // event/degradation/failure so the goldens pin the element shapes of
@@ -98,6 +101,7 @@ fn report_files_match_the_golden_schemas() {
     );
     let run_path = report::finish().expect("report written");
     chaos::install(None);
+    report::configure(report::Settings::default());
 
     // The run report is the only file an experiment writes.
     let written: Vec<_> = std::fs::read_dir(&dir)
