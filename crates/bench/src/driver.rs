@@ -74,13 +74,26 @@ fn parse_chaos(value: &str, warnings: &mut Vec<String>) -> Option<(u64, f64)> {
             "[chaos] PREBOND3D_CHAOS rate {rate} outside [0,1]; chaos stays off"
         )),
         Some(config) => return Some(config),
-        None if value.trim().is_empty() => return None,
-        None => {}
+        None if value.trim().is_empty() => {}
+        None => warnings.push(format!(
+            "[chaos] cannot parse PREBOND3D_CHAOS=`{value}` (want `<seed>:<rate>`)"
+        )),
     }
-    warnings.push(format!(
-        "[chaos] cannot parse PREBOND3D_CHAOS=`{value}` (want `<seed>:<rate>`)"
-    ));
     None
+}
+
+fn parse_budget_ms(value: &str, warnings: &mut Vec<String>) -> Option<u64> {
+    let value = value.trim();
+    if value.is_empty() {
+        return None;
+    }
+    let parsed = value.parse::<u64>().ok();
+    if parsed.is_none() {
+        warnings.push(format!(
+            "[budget] cannot parse PREBOND3D_BUDGET_MS=`{value}`; running unbudgeted"
+        ));
+    }
+    parsed
 }
 
 fn parse_circuits(list: &str, warnings: &mut Vec<String>) -> Result<Vec<&'static str>, String> {
@@ -126,7 +139,7 @@ impl Switches {
             .filter(|v| !v.is_empty())
             .map(PathBuf::from);
         let chaos = var("PREBOND3D_CHAOS").and_then(|v| parse_chaos(&v, &mut warnings));
-        let budget_ms = var("PREBOND3D_BUDGET_MS").and_then(|v| v.trim().parse::<u64>().ok());
+        let budget_ms = var("PREBOND3D_BUDGET_MS").and_then(|v| parse_budget_ms(&v, &mut warnings));
         let circuits = var("PREBOND3D_CIRCUITS").map_or_else(
             || Ok(itc99::CIRCUIT_NAMES.to_vec()),
             |v| parse_circuits(&v, &mut warnings),
@@ -280,10 +293,7 @@ mod tests {
         assert_eq!(s.chaos, None);
         assert_eq!(
             warnings,
-            [
-                "[chaos] PREBOND3D_CHAOS rate 1.5 outside [0,1]; chaos stays off",
-                "[chaos] cannot parse PREBOND3D_CHAOS=`7:1.5` (want `<seed>:<rate>`)",
-            ]
+            ["[chaos] PREBOND3D_CHAOS rate 1.5 outside [0,1]; chaos stays off"]
         );
         let (s, warnings) = parse(&[("PREBOND3D_CHAOS", "seven")]);
         assert_eq!(s.chaos, None);
@@ -296,7 +306,13 @@ mod tests {
         assert!(warnings.is_empty(), "a blank value is unset: {warnings:?}");
         let (s, warnings) = parse(&[("PREBOND3D_BUDGET_MS", "soon")]);
         assert_eq!(s.budget_ms, None);
-        assert!(warnings.is_empty(), "{warnings:?}");
+        assert_eq!(
+            warnings,
+            ["[budget] cannot parse PREBOND3D_BUDGET_MS=`soon`; running unbudgeted"]
+        );
+        let (s, warnings) = parse(&[("PREBOND3D_BUDGET_MS", " ")]);
+        assert_eq!(s.budget_ms, None);
+        assert!(warnings.is_empty(), "a blank value is unset: {warnings:?}");
     }
 
     #[test]

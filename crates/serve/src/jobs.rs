@@ -88,16 +88,15 @@ fn place_die(netlist: &Netlist) -> Placement {
 }
 
 /// The content-addressed idempotency key of a job: an FNV over the
-/// client id, the netlist source (generation inputs, or the inline
-/// netlist's *content signature* — whitespace-equivalent retries
-/// collide), method, scenario, probe, `return_plan` and `budget_ms`.
-/// A client retrying the same logical submit lands on the same key (the
-/// journal dedups it to exactly-once); any differing field yields a
-/// distinct key. `None` when the source is unparsable — such a job can't
-/// be content-addressed, is never journaled, and fails with code 2 in
-/// the worker as before.
-pub fn idempotency_key(spec: &JobSpec) -> Option<u64> {
-    let source = source_key(&spec.source).ok()?;
+/// client id, the netlist source's key ([`Source::key`]: generation
+/// inputs, or the inline netlist's *content signature* —
+/// whitespace-equivalent retries collide), method, scenario, probe,
+/// `return_plan` and `budget_ms`. A client retrying the same logical
+/// submit lands on the same key (the journal dedups it to exactly-once);
+/// any differing field yields a distinct key. A job whose source does not
+/// resolve has no key: it can't be content-addressed, is never journaled,
+/// and fails with code 2 in the worker.
+pub fn idempotency_key(spec: &JobSpec, source: u64) -> u64 {
     let mut h = resil::fnv1a(b"job:");
     h = resil::fnv1a_more(h, spec.id.as_bytes());
     h = resil::fnv1a_more(h, &source.to_le_bytes());
@@ -112,34 +111,57 @@ pub fn idempotency_key(spec: &JobSpec) -> Option<u64> {
     );
     h = resil::fnv1a_more(h, &[u8::from(spec.return_plan)]);
     h = resil::fnv1a_more(h, &spec.budget_ms.map_or(u64::MAX, |ms| ms).to_le_bytes());
-    Some(h)
+    h
 }
 
-/// Warm-cache key for a job source. Generated substrates key on the
-/// deterministic generation inputs (no need to generate first); inline
-/// netlists on their content signature.
-fn source_key(source: &JobSource) -> Result<u64, String> {
+/// A job's netlist source, resolved once when the job is admitted.
+#[derive(Debug)]
+pub struct Source {
+    /// The warm-cache key. Generated substrates key on the deterministic
+    /// generation inputs (no need to generate first); inline netlists on
+    /// their content signature.
+    pub key: u64,
+    /// The inline netlist, parsed to compute `key`: a cache miss builds
+    /// from it instead of parsing the text again.
+    inline: Option<Netlist>,
+}
+
+/// Resolve a job source: the one place an inline netlist is parsed.
+///
+/// # Errors
+///
+/// The inline netlist does not parse; the message is the job's code-2
+/// error.
+pub fn resolve_source(source: &JobSource) -> Result<Source, String> {
     match source {
         JobSource::Generated { circuit, die } => {
             let mut h = resil::fnv1a(b"gen:");
             h = resil::fnv1a_more(h, circuit.as_bytes());
             h = resil::fnv1a_more(h, &(*die as u64).to_le_bytes());
-            Ok(h)
+            Ok(Source {
+                key: h,
+                inline: None,
+            })
         }
         JobSource::Inline { text } => {
             let netlist = format::parse(text).map_err(|e| format!("inline netlist: {e}"))?;
-            Ok(resil::fnv1a_more(
-                resil::fnv1a(b"inline:"),
-                &netlist.signature().to_le_bytes(),
-            ))
+            Ok(Source {
+                key: resil::fnv1a_more(
+                    resil::fnv1a(b"inline:"),
+                    &netlist.signature().to_le_bytes(),
+                ),
+                inline: Some(netlist),
+            })
         }
     }
 }
 
-/// Build the substrate cold (generate or parse, then place).
-fn build_entry(source: &JobSource) -> Result<WarmEntry, String> {
-    let netlist = match source {
-        JobSource::Generated { circuit, die } => {
+/// Build the substrate cold (generate, or take the parsed inline netlist,
+/// then place).
+fn build_entry(spec_source: &JobSource, inline: Option<Netlist>) -> Result<WarmEntry, String> {
+    let netlist = match (spec_source, inline) {
+        (_, Some(netlist)) => netlist,
+        (JobSource::Generated { circuit, die }, None) => {
             let spec =
                 itc99::circuit(circuit).ok_or_else(|| format!("unknown circuit `{circuit}`"))?;
             let die_spec = spec.dies.get(*die).ok_or_else(|| {
@@ -150,8 +172,8 @@ fn build_entry(source: &JobSource) -> Result<WarmEntry, String> {
             })?;
             itc99::generate_die(die_spec)
         }
-        JobSource::Inline { text } => {
-            format::parse(text).map_err(|e| format!("inline netlist: {e}"))?
+        (JobSource::Inline { .. }, None) => {
+            unreachable!("resolve_source parses every inline netlist")
         }
     };
     let placement = {
@@ -216,9 +238,10 @@ fn report_json(spec: &JobSpec, s: &JobSuccess) -> Value {
     Value::obj(fields)
 }
 
-/// Run one job to its terminal frame. Never panics; never poisons shared
+/// Run one job to its terminal frame, given its source as
+/// [`resolve_source`] resolved it. Never panics; never poisons shared
 /// state (the flow's own locks are per-probe and per-call).
-pub fn run_job(spec: &JobSpec, cache: &WarmCache) -> JobOutcome {
+pub fn run_job(spec: &JobSpec, source: Result<Source, String>, cache: &WarmCache) -> JobOutcome {
     let t0 = Instant::now();
     // The job records its degradations into its own sink (below). What
     // lands in the process registry was recorded outside any job; drop it
@@ -228,14 +251,14 @@ pub fn run_job(spec: &JobSpec, cache: &WarmCache) -> JobOutcome {
     let cache_tag = std::cell::Cell::new("miss");
     let cached_key = std::cell::Cell::new(None::<u64>);
     let body = || -> Result<JobSuccess, JobFail> {
-        let key = source_key(&spec.source).map_err(JobFail::Bad)?;
+        let Source { key, inline } = source.map_err(JobFail::Bad)?;
         let entry: Arc<WarmEntry> = match cache.lookup(key) {
             Some(hit) => {
                 cache_tag.set("hit");
                 hit
             }
             None => {
-                let built = Arc::new(build_entry(&spec.source).map_err(JobFail::Bad)?);
+                let built = Arc::new(build_entry(&spec.source, inline).map_err(JobFail::Bad)?);
                 cache.insert(key, Arc::clone(&built));
                 built
             }
@@ -390,10 +413,20 @@ mod tests {
         }
     }
 
+    /// Resolve and run a job, as admission and a worker would.
+    fn run(spec: &JobSpec, cache: &WarmCache) -> JobOutcome {
+        run_job(spec, resolve_source(&spec.source), cache)
+    }
+
+    fn key(spec: &JobSpec) -> Option<u64> {
+        let source = resolve_source(&spec.source).ok()?;
+        Some(idempotency_key(spec, source.key))
+    }
+
     #[test]
     fn unknown_circuit_is_code_2() {
         let cache = WarmCache::new(1 << 20);
-        let out = run_job(&spec(r#"{"op":"submit","id":"x","circuit":"b99"}"#), &cache);
+        let out = run(&spec(r#"{"op":"submit","id":"x","circuit":"b99"}"#), &cache);
         assert_eq!(out.code, 2);
         assert_eq!(
             out.done.get("error").and_then(Value::as_str).unwrap(),
@@ -405,12 +438,12 @@ mod tests {
     #[test]
     fn out_of_range_die_and_bad_inline_are_code_2() {
         let cache = WarmCache::new(1 << 20);
-        let out = run_job(
+        let out = run(
             &spec(r#"{"op":"submit","id":"x","circuit":"b11","die":99}"#),
             &cache,
         );
         assert_eq!(out.code, 2);
-        let out = run_job(
+        let out = run(
             &spec(r#"{"op":"submit","id":"x","netlist":"not a netlist"}"#),
             &cache,
         );
@@ -424,7 +457,7 @@ mod tests {
         // configuration can exercise the boundary, so the gate refuses
         // the job before the flow runs.
         let line = r#"{"op":"submit","id":"r","netlist":"circuit bad\na = input()\nc1 = const1()\ng = or(a, c1)\nto = tsv_out(g)\no = output(a)\n"}"#;
-        let out = run_job(&spec(line), &cache);
+        let out = run(&spec(line), &cache);
         assert_eq!(out.code, 1, "{:?}", out.done.get("error"));
         let error = out.done.get("error").and_then(Value::as_str).unwrap();
         assert!(error.contains("boundary statically untestable"), "{error}");
@@ -446,9 +479,10 @@ mod tests {
     fn idempotency_keys_are_content_addressed() {
         let a = spec(r#"{"op":"submit","id":"j","circuit":"b11","die":0}"#);
         let b = spec(r#"{"op":"submit","id":"j","circuit":"b11","die":0,"probe":"structural"}"#);
+        assert!(key(&a).is_some());
         assert_eq!(
-            idempotency_key(&a),
-            idempotency_key(&b),
+            key(&a),
+            key(&b),
             "defaulted and explicit forms of the same job collide"
         );
         for different in [
@@ -459,15 +493,11 @@ mod tests {
             r#"{"op":"submit","id":"j","circuit":"b11","die":0,"budget_ms":100}"#,
             r#"{"op":"submit","id":"j","circuit":"b11","die":0,"return_plan":true}"#,
         ] {
-            assert_ne!(
-                idempotency_key(&a),
-                idempotency_key(&spec(different)),
-                "{different}"
-            );
+            assert_ne!(key(&a), key(&spec(different)), "{different}");
         }
         // An unparsable inline netlist cannot be content-addressed.
         assert_eq!(
-            idempotency_key(&spec(r#"{"op":"submit","id":"j","netlist":"garbage"}"#)),
+            key(&spec(r#"{"op":"submit","id":"j","netlist":"garbage"}"#)),
             None
         );
     }
@@ -477,7 +507,7 @@ mod tests {
         let cache = WarmCache::new(256 << 20);
         let line =
             r#"{"op":"submit","id":"b","circuit":"b11","die":0,"probe":"atpg","budget_ms":0}"#;
-        let out = run_job(&spec(line), &cache);
+        let out = run(&spec(line), &cache);
         assert_eq!(out.code, 3, "{:?}", out.done.get("error"));
         let n = out.done.get("degraded").and_then(Value::as_u64).unwrap();
         assert!(n > 0);
@@ -508,7 +538,7 @@ mod tests {
                     std::thread::sleep(std::time::Duration::from_micros(200));
                 }
             });
-            let out = run_job(&spec(line), &cache);
+            let out = run(&spec(line), &cache);
             stop.store(true, Ordering::Relaxed);
             out
         });
@@ -520,10 +550,10 @@ mod tests {
     fn repeat_job_hits_the_warm_cache_and_reports_identically() {
         let cache = WarmCache::new(256 << 20);
         let line = r#"{"op":"submit","id":"j","circuit":"b11","die":0,"return_plan":true}"#;
-        let cold = run_job(&spec(line), &cache);
+        let cold = run(&spec(line), &cache);
         assert_eq!(cold.code, 0, "{:?}", cold.done.get("error"));
         assert_eq!(cold.cache_tag, "miss");
-        let warm = run_job(&spec(line), &cache);
+        let warm = run(&spec(line), &cache);
         assert_eq!(warm.code, 0);
         assert_eq!(warm.cache_tag, "hit");
         // The deterministic report must be byte-identical cold vs warm.

@@ -38,7 +38,17 @@
 //! On load, keys left in `pending` are the crash's orphans and are
 //! re-enqueued; keys in `done` keep their terminal record so a client
 //! retry of an already-completed job is answered from the journal instead
-//! of running twice (exactly-once semantics across restarts).
+//! of running twice (exactly-once semantics across restarts, within the
+//! last [`DONE_WINDOW`] completions).
+//!
+//! ## The done window
+//!
+//! The daemon remembers only the most recent [`DONE_WINDOW`] terminal
+//! records, each held as its serialized `done` line ([`DoneIndex`]); the
+//! oldest is evicted first. A resubmit of an evicted key runs again, and
+//! since reports are deterministic it gets a byte-identical `report` —
+//! only the `dedup`/`cache` telemetry differs. `status` on an evicted key
+//! answers `unknown`.
 //!
 //! ## Durability & tolerance
 //!
@@ -47,11 +57,12 @@
 //! torn final line, which the loader drops. Any other corrupt line (a
 //! bit flip, a truncated rewrite) is skipped and counted — loading never
 //! panics and always recovers every intact entry. On open the journal is
-//! **compacted**: rewritten atomically with only the surviving done
-//! records and pending entries, so garbage does not accumulate across
-//! restarts.
+//! **compacted**: rewritten atomically with the done window (the last
+//! [`DONE_WINDOW`] done records, in journal order) and every pending
+//! entry, so neither garbage nor old completions accumulate across
+//! restarts, and the file and the done index agree.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -64,6 +75,11 @@ use crate::proto::{self, JobSpec};
 
 /// The version header opening every journal file.
 pub const HEADER: &str = "prebond3d journal v1";
+
+/// How many completions the daemon remembers for exactly-once replay: the
+/// done index and the compacted journal each hold at most this many done
+/// records, the most recent ones.
+pub const DONE_WINDOW: usize = 1024;
 
 /// The terminal record of a completed job, as journaled and as replayed
 /// to deduplicated retries.
@@ -97,6 +113,85 @@ impl DoneRecord {
         }
         Value::obj(fields)
     }
+
+    /// Read a journal `done` entry back; `None` when it has no code.
+    fn from_json(entry: &Value) -> Option<DoneRecord> {
+        Some(DoneRecord {
+            code: entry.get("code").and_then(Value::as_f64)? as i64,
+            report: entry.get("report").cloned(),
+            error: entry
+                .get("error")
+                .and_then(Value::as_str)
+                .map(str::to_string),
+            issues: entry.get("issues").cloned(),
+        })
+    }
+}
+
+/// The most recent terminal records by idempotency key, each held as its
+/// serialized journal `done` line (far smaller than the parsed tree).
+/// Past its capacity the oldest key is evicted first; re-inserting a key
+/// already held replaces its record in place and evicts nothing.
+#[derive(Debug)]
+pub struct DoneIndex {
+    capacity: usize,
+    lines: HashMap<u64, Box<str>>,
+    /// Held keys, oldest first.
+    order: VecDeque<u64>,
+}
+
+impl Default for DoneIndex {
+    fn default() -> Self {
+        DoneIndex::with_capacity(DONE_WINDOW)
+    }
+}
+
+impl DoneIndex {
+    fn with_capacity(capacity: usize) -> DoneIndex {
+        debug_assert!(capacity > 0);
+        DoneIndex {
+            capacity,
+            lines: HashMap::new(),
+            order: VecDeque::new(),
+        }
+    }
+
+    /// Hold `record` as the terminal record of `key`.
+    pub fn insert(&mut self, key: u64, record: &DoneRecord) {
+        let line = record.to_json(key).to_string().into_boxed_str();
+        if let Some(held) = self.lines.get_mut(&key) {
+            *held = line;
+            return;
+        }
+        if self.order.len() >= self.capacity {
+            if let Some(oldest) = self.order.pop_front() {
+                self.lines.remove(&oldest);
+            }
+        }
+        self.order.push_back(key);
+        self.lines.insert(key, line);
+    }
+
+    /// The terminal record of `key`, parsed back from its line.
+    pub fn get(&self, key: u64) -> Option<DoneRecord> {
+        let entry = prebond3d_obs::json::parse(self.lines.get(&key)?).ok()?;
+        DoneRecord::from_json(&entry)
+    }
+
+    /// Records held (at most the capacity).
+    pub fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Whether no record is held.
+    pub fn is_empty(&self) -> bool {
+        self.order.is_empty()
+    }
+
+    /// `(key, done line)` pairs, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &str)> {
+        self.order.iter().map(|k| (*k, &*self.lines[k]))
+    }
 }
 
 /// One unfinished job recovered from the journal.
@@ -114,8 +209,9 @@ pub struct Recovery {
     /// Jobs accepted (or running) but never finished: the crash's
     /// orphans, in journal order.
     pub pending: Vec<PendingJob>,
-    /// Terminal records by key, for idempotent retry replay.
-    pub done: Vec<(u64, DoneRecord)>,
+    /// The last [`DONE_WINDOW`] terminal records, for idempotent retry
+    /// replay.
+    pub done: DoneIndex,
     /// Lines skipped as corrupt (torn tails are dropped silently and not
     /// counted here).
     pub corrupt_lines: usize,
@@ -141,9 +237,13 @@ pub fn parse_key(text: &str) -> Option<u64> {
 /// Fold the journal's surviving lines into the recovery state machine.
 /// Tolerant by construction: a torn final line (no trailing newline) is
 /// dropped, any other unparsable or ill-shaped line is counted and
-/// skipped, and nothing here can panic on hostile bytes.
-fn fold_entries(text: &str) -> Recovery {
-    let mut recovery = Recovery::default();
+/// skipped, and nothing here can panic on hostile bytes. Done records
+/// fold into a [`DoneIndex`] of `window` records.
+fn fold_entries(text: &str, window: usize) -> Recovery {
+    let mut recovery = Recovery {
+        done: DoneIndex::with_capacity(window),
+        ..Recovery::default()
+    };
     let complete = match text.rfind('\n') {
         Some(last) => &text[..last],
         None => return recovery, // not even a complete header line
@@ -155,8 +255,6 @@ fn fold_entries(text: &str) -> Recovery {
     // Key -> index into `pending` while undecided; done wins over pending.
     let mut pending: Vec<Option<PendingJob>> = Vec::new();
     let mut index: HashMap<u64, usize> = HashMap::new();
-    let mut done: HashMap<u64, DoneRecord> = HashMap::new();
-    let mut done_order: Vec<u64> = Vec::new();
     for line in lines {
         if line.is_empty() {
             continue;
@@ -193,45 +291,31 @@ fn fold_entries(text: &str) -> Recovery {
             // journal can tell queued from in-flight at the crash.
             "running" => {}
             "done" => {
-                let Some(code) = entry.get("code").and_then(Value::as_f64).map(|f| f as i64) else {
+                let Some(record) = DoneRecord::from_json(&entry) else {
                     recovery.corrupt_lines += 1;
                     continue;
                 };
                 if let Some(&i) = index.get(&key) {
                     pending[i] = None;
                 }
-                if !done.contains_key(&key) {
-                    done_order.push(key);
-                }
-                done.insert(
-                    key,
-                    DoneRecord {
-                        code,
-                        report: entry.get("report").cloned(),
-                        error: entry
-                            .get("error")
-                            .and_then(Value::as_str)
-                            .map(str::to_string),
-                        issues: entry.get("issues").cloned(),
-                    },
-                );
+                recovery.done.insert(key, &record);
             }
             _ => recovery.corrupt_lines += 1,
         }
     }
     recovery.pending = pending.into_iter().flatten().collect();
-    recovery.done = done_order
-        .into_iter()
-        .filter_map(|k| done.remove(&k).map(|r| (k, r)))
-        .collect();
     recovery
 }
 
 /// Load a journal file without opening it for writing (inspection and
 /// tests). Missing or unreadable files recover nothing.
 pub fn load(path: &Path) -> Recovery {
+    load_window(path, DONE_WINDOW)
+}
+
+fn load_window(path: &Path, window: usize) -> Recovery {
     match fs::read_to_string(path) {
-        Ok(text) => fold_entries(&text),
+        Ok(text) => fold_entries(&text, window),
         Err(_) => Recovery::default(),
     }
 }
@@ -239,20 +323,24 @@ pub fn load(path: &Path) -> Recovery {
 impl Journal {
     /// Open (or create) the journal at `path`, recover its surviving
     /// entries, and **compact** it: the file is atomically rewritten with
-    /// the header, the done records, and one `accepted` entry per pending
-    /// job, then reopened for appending.
+    /// the header, the last [`DONE_WINDOW`] done records, and one
+    /// `accepted` entry per pending job, then reopened for appending.
     ///
     /// # Errors
     ///
     /// Creating the parent directory, rewriting the compacted file, or
     /// opening it for append failed.
     pub fn open(path: &Path) -> std::io::Result<(Journal, Recovery)> {
-        let recovery = load(path);
+        Journal::open_window(path, DONE_WINDOW)
+    }
+
+    fn open_window(path: &Path, window: usize) -> std::io::Result<(Journal, Recovery)> {
+        let recovery = load_window(path, window);
         let mut compact = String::new();
         compact.push_str(HEADER);
         compact.push('\n');
-        for (key, record) in &recovery.done {
-            compact.push_str(&record.to_json(*key).to_string());
+        for (_, line) in recovery.done.iter() {
+            compact.push_str(line);
             compact.push('\n');
         }
         for job in &recovery.pending {
@@ -373,12 +461,9 @@ mod tests {
         let (_journal, recovery) = Journal::open(&path).unwrap();
         assert_eq!(recovery.corrupt_lines, 0);
         assert_eq!(recovery.done.len(), 1);
-        assert_eq!(recovery.done[0].0, 1);
-        assert_eq!(recovery.done[0].1.code, 0);
-        assert_eq!(
-            recovery.done[0].1.report.as_ref().unwrap().to_string(),
-            r#"{"wns":1.5}"#
-        );
+        let record = recovery.done.get(1).unwrap();
+        assert_eq!(record.code, 0);
+        assert_eq!(record.report.unwrap().to_string(), r#"{"wns":1.5}"#);
         assert_eq!(recovery.pending.len(), 1, "job 2 is the crash orphan");
         assert_eq!(recovery.pending[0].key, 2);
         assert_eq!(
@@ -421,7 +506,7 @@ mod tests {
         assert_eq!(recovery.corrupt_lines, 2);
         assert!(recovery.pending.is_empty());
         assert_eq!(recovery.done.len(), 1);
-        assert_eq!(recovery.done[0].1.error.as_deref(), Some("boom"));
+        assert_eq!(recovery.done.get(3).unwrap().error.as_deref(), Some("boom"));
     }
 
     #[test]
@@ -431,6 +516,109 @@ mod tests {
         fs::write(&path, "something else entirely\n").unwrap();
         let recovery = load(&path);
         assert!(recovery.pending.is_empty() && recovery.done.is_empty());
+    }
+
+    fn record(code: i64) -> DoneRecord {
+        DoneRecord {
+            code,
+            report: Some(Value::obj([
+                ("plan_fnv", "00c0ffee00c0ffee".into()),
+                ("wns", 12.25.into()),
+            ])),
+            error: None,
+            issues: None,
+        }
+    }
+
+    #[test]
+    fn done_index_evicts_the_oldest_keys_past_its_capacity() {
+        let cap = 4;
+        let mut index = DoneIndex::with_capacity(cap);
+        for key in 0..cap as u64 + 3 {
+            index.insert(key, &record(key as i64));
+        }
+        assert_eq!(index.len(), cap);
+        for key in 0..3 {
+            assert!(index.get(key).is_none(), "key {key} should be evicted");
+        }
+        for key in 3..cap as u64 + 3 {
+            assert_eq!(index.get(key).unwrap().code, key as i64);
+        }
+        // Re-inserting a held key replaces its record and evicts nothing.
+        index.insert(3, &record(40));
+        assert_eq!(index.len(), cap);
+        assert_eq!(index.get(3).unwrap().code, 40);
+        assert!(index.get(4).is_some());
+        assert_eq!(
+            index.iter().map(|(k, _)| k).collect::<Vec<_>>(),
+            [3, 4, 5, 6],
+            "a replaced record keeps its place"
+        );
+    }
+
+    #[test]
+    fn done_index_records_read_back_byte_identically() {
+        let mut index = DoneIndex::with_capacity(2);
+        let original = DoneRecord {
+            code: 1,
+            report: None,
+            error: Some("boundary statically untestable: \"to\"".to_string()),
+            issues: Some(Value::Arr(vec!["to: provably constant".into()])),
+        };
+        index.insert(9, &record(0));
+        index.insert(10, &original);
+        let back = index.get(10).unwrap();
+        assert_eq!(back, original);
+        assert_eq!(
+            back.to_json(10).to_string(),
+            original.to_json(10).to_string()
+        );
+        assert_eq!(
+            index.get(9).unwrap().report.unwrap().to_string(),
+            record(0).report.unwrap().to_string()
+        );
+    }
+
+    #[test]
+    fn compaction_keeps_the_last_window_of_done_records_and_every_pending_entry() {
+        let cap = 3;
+        let path = tmp("window");
+        let pending_a = spec(r#"{"op":"submit","id":"pa","circuit":"b11"}"#);
+        let pending_b = spec(r#"{"op":"submit","id":"pb","circuit":"b12","die":2}"#);
+        {
+            let (journal, _) = Journal::open_window(&path, cap).unwrap();
+            journal.accepted(100, &pending_a);
+            for key in 0..cap as u64 + 5 {
+                journal.accepted(key, &spec(r#"{"op":"submit","id":"d","circuit":"b11"}"#));
+                journal.done(key, &record(key as i64));
+            }
+            journal.accepted(101, &pending_b);
+        }
+        let (_journal, recovery) = Journal::open_window(&path, cap).unwrap();
+        let kept: Vec<u64> = recovery.done.iter().map(|(k, _)| k).collect();
+        assert_eq!(
+            kept,
+            [5, 6, 7],
+            "the last cap done records, in journal order"
+        );
+        let pending: Vec<u64> = recovery.pending.iter().map(|j| j.key).collect();
+        assert_eq!(pending, [100, 101]);
+        // The compacted file holds exactly that window plus both pending
+        // entries, and reloading it recovers the same state.
+        let text = fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 1 + cap + 2, "{text}");
+        assert_eq!(lines[0], HEADER);
+        for (line, key) in lines[1..=cap].iter().zip(5u64..) {
+            assert_eq!(*line, record(key as i64).to_json(key).to_string());
+        }
+        let reloaded = load_window(&path, cap);
+        assert_eq!(
+            reloaded.done.iter().collect::<Vec<_>>(),
+            recovery.done.iter().collect::<Vec<_>>()
+        );
+        assert_eq!(reloaded.pending.len(), 2);
+        assert_eq!(reloaded.pending[1].spec, pending_b);
     }
 
     #[test]

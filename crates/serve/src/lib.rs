@@ -24,7 +24,7 @@ pub mod jobs;
 pub mod journal;
 pub mod proto;
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -38,7 +38,7 @@ use prebond3d_obs as obs;
 use prebond3d_obs::json::Value;
 
 use cache::WarmCache;
-use journal::{DoneRecord, Journal};
+use journal::{DoneIndex, DoneRecord, Journal};
 use proto::{JobSpec, Request, MAX_LINE};
 
 /// Where the daemon listens.
@@ -122,6 +122,8 @@ pub struct ServerStats {
 
 struct QueuedJob {
     spec: JobSpec,
+    /// The spec's netlist source, resolved once at admission.
+    source: Result<jobs::Source, String>,
     /// Idempotency key, when the spec was content-addressable.
     key: Option<u64>,
     /// Payload estimate charged against the queue byte budget.
@@ -162,9 +164,10 @@ struct Shared {
     stats: ServerStats,
     wake: Mutex<Option<WakeAddr>>,
     journal: Option<Journal>,
-    /// Terminal records by idempotency key (journal mode only): identical
-    /// retries replay from here instead of running twice.
-    done_index: Mutex<HashMap<u64, DoneRecord>>,
+    /// The last [`journal::DONE_WINDOW`] terminal records by idempotency
+    /// key (journal mode only): identical retries replay from here
+    /// instead of running twice.
+    done_index: Mutex<DoneIndex>,
     /// Keys accepted but not yet done (journal mode only).
     inflight: Mutex<HashSet<u64>>,
     /// Queued-but-not-dequeued jobs (admission depth; running jobs are
@@ -252,7 +255,7 @@ impl Shared {
             return;
         };
         journal.done(key, &record);
-        self.done_index.lock().unwrap().insert(key, record);
+        self.done_index.lock().unwrap().insert(key, &record);
         self.inflight.lock().unwrap().remove(&key);
     }
 
@@ -351,14 +354,15 @@ impl Shared {
             ("ev", "status".into()),
             ("key", key_text.into()),
         ];
-        if let Some(record) = self.done_index.lock().unwrap().get(&key) {
+        let record = self.done_index.lock().unwrap().get(key);
+        if let Some(record) = record {
             fields.push(("state", "done".into()));
             fields.push(("code", Value::Num(record.code as f64)));
-            if let Some(r) = &record.report {
-                fields.push(("report", r.clone()));
+            if let Some(r) = record.report {
+                fields.push(("report", r));
             }
-            if let Some(e) = &record.error {
-                fields.push(("error", e.as_str().into()));
+            if let Some(e) = record.error {
+                fields.push(("error", e.into()));
             }
         } else if self.inflight.lock().unwrap().contains(&key) {
             fields.push(("state", "pending".into()));
@@ -464,7 +468,7 @@ impl Server {
             stats: ServerStats::default(),
             wake: Mutex::new(wake),
             journal,
-            done_index: Mutex::new(recovery.done.into_iter().collect()),
+            done_index: Mutex::new(recovery.done),
             inflight: Mutex::new(HashSet::new()),
             pending: AtomicU64::new(0),
             queued_bytes: AtomicU64::new(0),
@@ -488,6 +492,7 @@ impl Server {
             shared.inflight.lock().unwrap().insert(job.key);
             let (tx, _) = mpsc::channel();
             shared.enqueue(QueuedJob {
+                source: jobs::resolve_source(&job.spec.source),
                 spec: job.spec,
                 key: Some(job.key),
                 bytes,
@@ -558,18 +563,18 @@ impl Server {
         request_shutdown(&self.shared);
     }
 
-    /// The in-process analogue of a crash, for recovery tests: stop
-    /// dequeuing **immediately**, abandoning queued jobs. Jobs already
-    /// running finish (and journal their `done`); everything still queued
-    /// stays journaled as accepted and replays on the next
-    /// [`Server::start`] with the same `--journal`. Call [`Server::join`]
-    /// afterwards as usual.
     /// Release a queue held by [`ServerConfig::paused`] (also reachable
     /// over the wire as the `resume` op). A no-op when already draining.
     pub fn resume(&self) {
         self.shared.resume();
     }
 
+    /// The in-process analogue of a crash, for recovery tests: stop
+    /// dequeuing **immediately**, abandoning queued jobs. Jobs already
+    /// running finish (and journal their `done`); everything still queued
+    /// stays journaled as accepted and replays on the next
+    /// [`Server::start`] with the same `--journal`. Call [`Server::join`]
+    /// afterwards as usual.
     pub fn abort(&self) {
         self.shared.aborting.store(true, Ordering::SeqCst);
         // Drop the abandoned queue entries now: their event senders go
@@ -615,7 +620,7 @@ fn worker_loop(shared: &Shared) {
         if let (Some(journal), Some(key)) = (&shared.journal, job.key) {
             journal.running(key);
         }
-        let outcome = jobs::run_job(&job.spec, &shared.cache);
+        let outcome = jobs::run_job(&job.spec, job.source, &shared.cache);
         if outcome.code == 0 {
             shared.stats.done_ok.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -646,7 +651,12 @@ fn accept_loop(listener: &Listener, shared: &Arc<Shared>) {
     loop {
         let stream: Box<dyn Conn> = match listener {
             Listener::Tcp(l) => match l.accept() {
-                Ok((s, _)) => Box::new(s),
+                Ok((s, _)) => {
+                    // No Nagle: a frame follows the previous one without
+                    // waiting for the client's (delayed) ACK.
+                    let _ = s.set_nodelay(true);
+                    Box::new(s)
+                }
                 Err(_) => continue,
             },
             #[cfg(unix)]
@@ -723,8 +733,13 @@ fn read_line_bounded(
     Ok(Ok(Some(n)))
 }
 
+/// Send one frame as a single write of its serialized line. `Value`'s
+/// `Display` writes token by token, so formatting straight into the socket
+/// would put each frame on the wire as dozens of tiny segments.
 fn write_frame(w: &mut dyn Write, frame: &Value) -> std::io::Result<()> {
-    writeln!(w, "{frame}")?;
+    let mut line = frame.to_string();
+    line.push('\n');
+    w.write_all(line.as_bytes())?;
     w.flush()
 }
 
@@ -813,14 +828,18 @@ fn handle_conn(mut stream: Box<dyn Conn>, shared: &Arc<Shared>) {
                 }
             }
             Request::Submit(spec) => {
-                let key = jobs::idempotency_key(&spec);
+                let source = jobs::resolve_source(&spec.source);
+                let key = source
+                    .as_ref()
+                    .ok()
+                    .map(|s| jobs::idempotency_key(&spec, s.key));
                 let key_text = key.map(journal::key_hex).unwrap_or_default();
                 if shared.journal.is_some() {
                     if let Some(key) = key {
                         // Exactly-once dedup: an identical submit already
                         // completed — replay its terminal record (the
                         // `report` is byte-identical) without re-running.
-                        let record = shared.done_index.lock().unwrap().get(&key).cloned();
+                        let record = shared.done_index.lock().unwrap().get(key);
                         if let Some(record) = record {
                             shared.stats.deduped.fetch_add(1, Ordering::Relaxed);
                             obs::count("serve.deduped", 1);
@@ -882,6 +901,7 @@ fn handle_conn(mut stream: Box<dyn Conn>, shared: &Arc<Shared>) {
                 let (tx, rx) = mpsc::channel();
                 shared.enqueue(QueuedJob {
                     spec: *spec,
+                    source,
                     key,
                     bytes,
                     events: tx,
@@ -903,6 +923,54 @@ fn handle_conn(mut stream: Box<dyn Conn>, shared: &Arc<Shared>) {
                     return;
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A writer that keeps the bytes of each `write` call apart.
+    #[derive(Default)]
+    struct Recording {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for Recording {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_frame_goes_out_in_one_write() {
+        let record = DoneRecord {
+            code: 1,
+            report: Some(Value::obj([
+                ("circuit", "b11".into()),
+                ("wns", 12.5.into()),
+                (
+                    "phases",
+                    Value::Arr(vec![Value::obj([("nodes", 3u64.into())])]),
+                ),
+            ])),
+            error: Some("boundary statically untestable".to_string()),
+            issues: Some(Value::Arr(vec!["to: provably constant".into()])),
+        };
+        let frames = [
+            proto::error(Some("j1"), "line exceeds \"1048576\" bytes"),
+            replay_done("j1", &journal::key_hex(0xfeed), &record),
+        ];
+        for frame in &frames {
+            let mut w = Recording::default();
+            write_frame(&mut w, frame).unwrap();
+            assert_eq!(w.writes.len(), 1, "{frame}");
+            assert_eq!(w.writes[0], format!("{frame}\n").into_bytes());
         }
     }
 }
