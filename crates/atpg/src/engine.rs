@@ -23,11 +23,11 @@ use prebond3d_dataflow::scoring::{Scores, INF};
 use prebond3d_netlist::{Netlist, V3};
 
 use crate::access::TestAccess;
-use crate::fault::FaultList;
+use crate::fault::{Fault, FaultList};
 use crate::faultsim::FaultSimulator;
 use crate::podem::{Podem, PodemConfig, PodemOutcome};
 use crate::sim::Pattern;
-use crate::transition::{self, TransitionFault};
+use crate::transition;
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,8 +38,6 @@ pub struct AtpgConfig {
     pub min_random_yield: usize,
     /// PODEM limits.
     pub podem: PodemConfig,
-    /// Run reverse-order compaction.
-    pub compact: bool,
     /// RNG seed (pattern fill and random phase).
     pub seed: u64,
 }
@@ -54,7 +52,6 @@ impl AtpgConfig {
                 backtrack_limit: 4000,
                 ..PodemConfig::default()
             },
-            compact: true,
             seed: 0xA7_9C,
         }
     }
@@ -73,7 +70,6 @@ impl AtpgConfig {
                     backtrack_limit: 64,
                     ..PodemConfig::default()
                 },
-                compact: true,
                 seed: 0xA7_9C,
             }
         } else {
@@ -90,7 +86,6 @@ impl AtpgConfig {
                 backtrack_limit: 150,
                 ..PodemConfig::default()
             },
-            compact: true,
             seed: 0xA7_9C,
         }
     }
@@ -145,11 +140,7 @@ impl AtpgResult {
 /// needed value at its driver is unreachable) or cannot be observed (no
 /// path from the propagation root to any observation point). Both SCOAP
 /// saturations are sound proofs under the access model.
-pub(crate) fn scoap_untestable(
-    scoap: &Scores,
-    netlist: &Netlist,
-    fault: crate::fault::Fault,
-) -> bool {
+pub(crate) fn scoap_untestable(scoap: &Scores, netlist: &Netlist, fault: Fault) -> bool {
     let driver = fault.site.driver(netlist);
     let cc = if fault.stuck.excitation() {
         scoap.cc1[driver.index()]
@@ -166,26 +157,30 @@ pub(crate) fn scoap_untestable(
     co >= INF
 }
 
-fn random_pattern(rng: &mut StdRng, access: &TestAccess) -> Pattern {
-    let mut bits: Vec<bool> = (0..access.width()).map(|_| rng.gen()).collect();
+/// A pattern from `cube`, or a random one when there is no cube: each
+/// don't-care draws one bit from `rng` in rank order, then every pinned
+/// source takes its pinned value.
+fn fill(rng: &mut StdRng, access: &TestAccess, cube: Option<&[V3]>) -> Pattern {
+    let mut bits: Vec<bool> = match cube {
+        Some(cube) => cube
+            .iter()
+            .map(|v| v.to_bool().unwrap_or_else(|| rng.gen()))
+            .collect(),
+        None => (0..access.width()).map(|_| rng.gen()).collect(),
+    };
     for &(node, v) in access.pinned() {
         bits[access.rank_of(node).expect("pinned controllable")] = v;
     }
     Pattern { bits }
 }
 
-/// Keep only the patterns that first-detect some fault, preserving order.
-/// `masks[f]` is the per-pattern detection mask of fault `f` in this batch.
-fn credit_patterns(batch: &[Pattern], masks: &[u64], alive: &mut [bool]) -> (Vec<Pattern>, usize) {
-    credit_block(batch, masks, 1, 0, alive)
-}
-
-/// [`credit_patterns`] over one 64-pattern block of a wide batch: fault
-/// `f`'s mask for the block is `masks[f * w + lane]`. Replaying a wide
-/// batch's blocks through this in order reproduces the narrow
-/// simulate-credit loop decision-for-decision (the per-lane masks are
-/// byte-identical to narrow batches — see `faultsim`), which is what keeps
-/// `AtpgResult` invariant across lane widths.
+/// Keep only the patterns of one 64-pattern block that first-detect some
+/// fault, preserving order: fault `f`'s mask for the block is
+/// `masks[f * w + lane]`. Replaying a wide batch's blocks through this in
+/// order reproduces the narrow simulate-credit loop decision-for-decision
+/// (the per-lane masks are byte-identical to narrow batches — see
+/// `faultsim`), which is what keeps `AtpgResult` invariant across lane
+/// widths.
 fn credit_block(
     block: &[Pattern],
     masks: &[u64],
@@ -240,6 +235,51 @@ impl Mode {
     };
 }
 
+/// Faults retired without a test, by reason.
+#[derive(Debug, Default)]
+struct Retired {
+    untestable: usize,
+    aborted: usize,
+}
+
+impl Retired {
+    /// The test cube of a PODEM outcome. An untestable or aborted fault is
+    /// retired (its `alive` flag cleared) and counted instead.
+    fn cube(&mut self, outcome: PodemOutcome, alive: &mut bool) -> Option<Vec<V3>> {
+        let count = match outcome {
+            PodemOutcome::Test(cube) => return Some(cube),
+            PodemOutcome::Untestable => &mut self.untestable,
+            PodemOutcome::Aborted => &mut self.aborted,
+        };
+        *alive = false;
+        *count += 1;
+        None
+    }
+
+    /// The phase budget ran out: abort every fault still alive, with one
+    /// degradation naming how many `what` were dropped.
+    fn abort_at_budget(&mut self, alive: &mut [bool], what: &str) {
+        let remaining = alive.iter().filter(|&&a| a).count();
+        alive.fill(false);
+        self.aborted += remaining;
+        degrade::record(
+            "atpg",
+            "abort_faults",
+            format!("{remaining} {what} aborted at phase budget"),
+        );
+    }
+}
+
+/// The PODEM configuration of one ATPG phase: an already-armed deadline
+/// wins over the phase budget.
+fn podem_config(config: &AtpgConfig, deadline: Deadline) -> PodemConfig {
+    let mut podem = config.podem;
+    if !podem.deadline.is_armed() {
+        podem.deadline = deadline;
+    }
+    podem
+}
+
 /// Run stuck-at ATPG over the full collapsed fault universe.
 pub fn run_stuck_at(netlist: &Netlist, access: &TestAccess, config: &AtpgConfig) -> AtpgResult {
     let list = FaultList::collapsed(netlist);
@@ -267,15 +307,11 @@ fn run_stuck_at_in(
 ) -> AtpgResult {
     let _span = obs::span("atpg_stuck_at");
     // Phase budget: one deadline covers the whole ATPG run (random phase,
-    // PODEM sweep, compaction); an already-armed PODEM deadline wins.
+    // PODEM sweep, compaction).
     let deadline = Deadline::for_phase();
-    let mut podem_config = config.podem;
-    if !podem_config.deadline.is_armed() {
-        podem_config.deadline = deadline;
-    }
     let scoap = Scores::compute(netlist, &access.view());
     let mut alive = vec![true; list.len()];
-    let mut untestable = 0usize;
+    let mut retired = Retired::default();
     // --- Static pruning (DESIGN.md §14) ------------------------------------
     // Faults that are both dataflow-undetectable and SCOAP-saturated are
     // retired before any simulation: the unpruned run would classify each
@@ -292,7 +328,7 @@ fn run_stuck_at_in(
                 pruned += 1;
             }
         }
-        untestable += pruned as usize;
+        retired.untestable += pruned as usize;
         obs::count("atpg.faults_pruned", pruned);
     }
     let mut fs = FaultSimulator::new(netlist);
@@ -323,7 +359,7 @@ fn run_stuck_at_in(
         let blocks = lanes.min(config.max_random_batches - blocks_done);
         let checkpoint = rng.clone();
         let batch: Vec<Pattern> = (0..blocks * 64)
-            .map(|_| random_pattern(&mut rng, access))
+            .map(|_| fill(&mut rng, access, None))
             .collect();
         let (w, masks) = fs
             .simulate_batch_any_wide(netlist, access, &batch, &list.faults, &alive)
@@ -351,7 +387,7 @@ fn run_stuck_at_in(
             // block-at-a-time run would have left behind.
             rng = checkpoint;
             for _ in 0..consumed * 64 {
-                let _ = random_pattern(&mut rng, access);
+                let _ = fill(&mut rng, access, None);
             }
         }
         if stop {
@@ -360,8 +396,7 @@ fn run_stuck_at_in(
     }
 
     // --- Deterministic phase ----------------------------------------------
-    let mut podem = Podem::new(netlist, access, &scoap, podem_config);
-    let mut aborted = 0usize;
+    let mut podem = Podem::new(netlist, access, &scoap, podem_config(config, deadline));
     let mut pending: Vec<Pattern> = Vec::new();
 
     let flush = |pending: &mut Vec<Pattern>,
@@ -371,10 +406,10 @@ fn run_stuck_at_in(
         if pending.is_empty() {
             return;
         }
-        let masks = fs
-            .simulate_batch_any(netlist, access, pending, &list.faults, alive)
+        let (w, masks) = fs
+            .simulate_batch_any_wide(netlist, access, pending, &list.faults, alive)
             .expect("pending flush holds at most 64 patterns");
-        let (kept, _) = credit_patterns(pending, masks, alive);
+        let (kept, _) = credit_block(pending, masks, w, 0, alive);
         patterns.extend(kept);
         pending.clear();
     };
@@ -386,79 +421,52 @@ fn run_stuck_at_in(
         if deadline.expired() {
             // Budget gone: every remaining live fault is aborted-with-
             // reason, in one pass, so the sweep still terminates promptly.
-            let remaining = alive[f..].iter().filter(|&&a| a).count();
-            for a in &mut alive[f..] {
-                *a = false;
-            }
-            aborted += remaining;
-            degrade::record(
-                "atpg",
-                "abort_faults",
-                format!("{remaining} faults aborted at phase budget"),
-            );
+            retired.abort_at_budget(&mut alive[f..], "faults");
             break;
         }
         // SCOAP pre-screen: saturated controllability of the excitation
         // value or saturated observability of the propagation root is a
         // *structural proof* of untestability — skip the search.
-        if scoap_untestable(&scoap, netlist, *fault) {
-            alive[f] = false;
-            untestable += 1;
-            continue;
-        }
-        match podem.generate(*fault) {
-            PodemOutcome::Test(cube) => {
-                let mut pattern = Pattern::from_v3(&cube, false);
-                // Random-fill don't-cares for opportunistic detection.
-                for (rank, bit) in pattern.bits.iter_mut().enumerate() {
-                    if cube[rank] == V3::X {
-                        *bit = rng.gen();
-                    }
-                }
-                for &(node, v) in access.pinned() {
-                    pattern.bits[access.rank_of(node).expect("pinned")] = v;
-                }
-                pending.push(pattern);
-                if pending.len() == 64 {
-                    flush(&mut pending, &mut patterns, &mut alive, &mut fs);
-                }
-            }
-            PodemOutcome::Untestable => {
-                alive[f] = false;
-                untestable += 1;
-            }
-            PodemOutcome::Aborted => {
-                alive[f] = false;
-                aborted += 1;
+        let outcome = if scoap_untestable(&scoap, netlist, *fault) {
+            PodemOutcome::Untestable
+        } else {
+            podem.generate(*fault)
+        };
+        // Random-fill don't-cares for opportunistic detection.
+        if let Some(cube) = retired.cube(outcome, &mut alive[f]) {
+            pending.push(fill(&mut rng, access, Some(&cube)));
+            if pending.len() == 64 {
+                flush(&mut pending, &mut patterns, &mut alive, &mut fs);
             }
         }
     }
     flush(&mut pending, &mut patterns, &mut alive, &mut fs);
 
     // --- Compaction --------------------------------------------------------
-    if config.compact {
-        if deadline.expired() {
-            degrade::record(
-                "atpg",
-                "skip_compaction",
-                format!(
-                    "{} patterns kept uncompacted at phase budget",
-                    patterns.len()
-                ),
-            );
-        } else {
-            patterns = reverse_order_compact(netlist, access, list, &mut fs, patterns, lanes);
-        }
+    if deadline.expired() {
+        degrade::record(
+            "atpg",
+            "skip_compaction",
+            format!(
+                "{} patterns kept uncompacted at phase budget",
+                patterns.len()
+            ),
+        );
+    } else {
+        patterns = reverse_order_compact(netlist, access, list, &mut fs, patterns, lanes);
     }
 
     // Final accounting: simulate the final set against the full universe.
-    let detected = count_detected(netlist, access, list, &mut fs, &patterns, lanes);
+    let detected = detected(netlist, access, &list.faults, &mut fs, &patterns, lanes)
+        .iter()
+        .filter(|&&d| d)
+        .count();
     AtpgResult {
         patterns,
         total_faults: list.len(),
         detected,
-        untestable,
-        aborted,
+        untestable: retired.untestable,
+        aborted: retired.aborted,
     }
 }
 
@@ -507,18 +515,21 @@ fn reverse_order_compact(
     keep
 }
 
-fn count_detected(
+/// Which of `faults` the pattern set detects: windows of up to `lanes`
+/// 64-pattern blocks fault-simulated on `fs`, dropping each fault at its
+/// first detection.
+fn detected(
     netlist: &Netlist,
     access: &TestAccess,
-    list: &FaultList,
+    faults: &[Fault],
     fs: &mut FaultSimulator,
     patterns: &[Pattern],
     lanes: usize,
-) -> usize {
-    let mut alive = vec![true; list.len()];
+) -> Vec<bool> {
+    let mut alive = vec![true; faults.len()];
     for window in patterns.chunks(lanes * 64) {
         let (w, masks) = fs
-            .simulate_batch_any_wide(netlist, access, window, &list.faults, &alive)
+            .simulate_batch_any_wide(netlist, access, window, faults, &alive)
             .expect("accounting window sized to lane capacity");
         for (f, a) in alive.iter_mut().enumerate() {
             if *a && masks[f * w..(f + 1) * w].iter().any(|&m| m != 0) {
@@ -526,17 +537,25 @@ fn count_detected(
             }
         }
     }
-    alive.iter().filter(|&&a| !a).count()
+    alive.into_iter().map(|a| !a).collect()
+}
+
+/// Clear `alive` for every fault in `det`; returns how many there were.
+fn retire_detected(alive: &mut [bool], det: &[bool]) -> usize {
+    let mut newly = 0;
+    for (a, &d) in alive.iter_mut().zip(det) {
+        if d {
+            *a = false;
+            newly += 1;
+        }
+    }
+    newly
 }
 
 /// Run transition-fault ATPG (two-pattern tests, enhanced-scan style).
 pub fn run_transition(netlist: &Netlist, access: &TestAccess, config: &AtpgConfig) -> AtpgResult {
     let _span = obs::span("atpg_transition");
     let deadline = Deadline::for_phase();
-    let mut podem_config = config.podem;
-    if !podem_config.deadline.is_armed() {
-        podem_config.deadline = deadline;
-    }
     let faults = transition::transition_universe(netlist);
     let mut alive = vec![true; faults.len()];
     let mut fs = FaultSimulator::new(netlist);
@@ -552,7 +571,7 @@ pub fn run_transition(netlist: &Netlist, access: &TestAccess, config: &AtpgConfi
             degrade::record("atpg", "stop_random_phase", "phase budget expired");
             break;
         }
-        let batch: Vec<Pattern> = (0..64).map(|_| random_pattern(&mut rng, access)).collect();
+        let batch: Vec<Pattern> = (0..64).map(|_| fill(&mut rng, access, None)).collect();
         obs::count("atpg.random_batches", 1);
         // Evaluate with one-pattern overlap into the existing tail.
         let mut seq: Vec<Pattern> = Vec::with_capacity(65);
@@ -561,12 +580,7 @@ pub fn run_transition(netlist: &Netlist, access: &TestAccess, config: &AtpgConfi
         }
         seq.extend(batch.iter().cloned());
         let det = transition::simulate_sequence(&mut fs, netlist, access, &seq, &faults, &alive);
-        let newly = det.iter().filter(|&&d| d).count();
-        for (f, d) in det.into_iter().enumerate() {
-            if d {
-                alive[f] = false;
-            }
-        }
+        let newly = retire_detected(&mut alive, &det);
         patterns.extend(batch);
         if newly < config.min_random_yield {
             break;
@@ -576,107 +590,50 @@ pub fn run_transition(netlist: &Netlist, access: &TestAccess, config: &AtpgConfi
     // --- Deterministic: v1 justifies the initial value, v2 is the
     // stuck-at launch test.
     let scoap = Scores::compute(netlist, &access.view());
-    let mut podem = Podem::new(netlist, access, &scoap, podem_config);
-    let mut untestable = 0usize;
-    let mut aborted = 0usize;
+    let mut podem = Podem::new(netlist, access, &scoap, podem_config(config, deadline));
+    let mut retired = Retired::default();
 
     for (f, fault) in faults.iter().enumerate() {
         if !alive[f] {
             continue;
         }
         if deadline.expired() {
-            let remaining = alive[f..].iter().filter(|&&a| a).count();
-            for a in &mut alive[f..] {
-                *a = false;
-            }
-            aborted += remaining;
-            degrade::record(
-                "atpg",
-                "abort_faults",
-                format!("{remaining} transition faults aborted at phase budget"),
-            );
+            retired.abort_at_budget(&mut alive[f..], "transition faults");
             break;
         }
         let launch = fault.launch_fault();
-        if scoap_untestable(&scoap, netlist, launch) {
-            alive[f] = false;
-            untestable += 1;
+        let outcome = if scoap_untestable(&scoap, netlist, launch) {
+            PodemOutcome::Untestable
+        } else {
+            podem.generate(launch)
+        };
+        let Some(v2) = retired.cube(outcome, &mut alive[f]) else {
             continue;
-        }
-        let v2 = match podem.generate(launch) {
-            PodemOutcome::Test(cube) => cube,
-            PodemOutcome::Untestable => {
-                alive[f] = false;
-                untestable += 1;
-                continue;
-            }
-            PodemOutcome::Aborted => {
-                alive[f] = false;
-                aborted += 1;
-                continue;
-            }
         };
         let site_driver = fault.site.driver(netlist);
-        let v1 = match podem.justify(site_driver, fault.initial_value()) {
-            PodemOutcome::Test(cube) => cube,
-            PodemOutcome::Untestable => {
-                alive[f] = false;
-                untestable += 1;
-                continue;
-            }
-            PodemOutcome::Aborted => {
-                alive[f] = false;
-                aborted += 1;
-                continue;
-            }
+        let outcome = podem.justify(site_driver, fault.initial_value());
+        let Some(v1) = retired.cube(outcome, &mut alive[f]) else {
+            continue;
         };
-        let fill = |cube: &[V3], rng: &mut StdRng| {
-            let mut p = Pattern::from_v3(cube, false);
-            for (rank, bit) in p.bits.iter_mut().enumerate() {
-                if cube[rank] == V3::X {
-                    *bit = rng.gen();
-                }
-            }
-            for &(node, v) in access.pinned() {
-                p.bits[access.rank_of(node).expect("pinned")] = v;
-            }
-            p
-        };
-        let p1 = fill(&v1, &mut rng);
-        let p2 = fill(&v2, &mut rng);
+        let p1 = fill(&mut rng, access, Some(&v1));
+        let p2 = fill(&mut rng, access, Some(&v2));
         let pair = vec![p1, p2];
         let det = transition::simulate_sequence(&mut fs, netlist, access, &pair, &faults, &alive);
-        for (g, d) in det.into_iter().enumerate() {
-            if d {
-                alive[g] = false;
-            }
-        }
+        retire_detected(&mut alive, &det);
         patterns.extend(pair);
     }
 
     // Final accounting over the whole sequence.
-    let mut final_alive = vec![true; faults.len()];
-    let det = transition::simulate_sequence(
-        &mut fs,
-        netlist,
-        access,
-        &patterns,
-        &faults,
-        &final_alive.clone(),
-    );
-    for (f, d) in det.into_iter().enumerate() {
-        if d {
-            final_alive[f] = false;
-        }
-    }
-    let detected = final_alive.iter().filter(|&&a| !a).count();
+    let all = vec![true; faults.len()];
+    let det = transition::simulate_sequence(&mut fs, netlist, access, &patterns, &faults, &all);
+    let detected = det.iter().filter(|&&d| d).count();
 
     AtpgResult {
         patterns,
         total_faults: faults.len(),
         detected,
-        untestable,
-        aborted,
+        untestable: retired.untestable,
+        aborted: retired.aborted,
     }
 }
 
@@ -685,34 +642,11 @@ pub fn run_transition(netlist: &Netlist, access: &TestAccess, config: &AtpgConfi
 pub fn detected_by(
     netlist: &Netlist,
     access: &TestAccess,
-    faults: &[crate::fault::Fault],
+    faults: &[Fault],
     patterns: &[Pattern],
 ) -> Vec<bool> {
     let mut fs = FaultSimulator::new(netlist);
-    let mut alive = vec![true; faults.len()];
-    for window in patterns.chunks(LANES * 64) {
-        let (w, masks) = fs
-            .simulate_batch_any_wide(netlist, access, window, faults, &alive)
-            .expect("probe window sized to lane capacity");
-        for (f, a) in alive.iter_mut().enumerate() {
-            if *a && masks[f * w..(f + 1) * w].iter().any(|&m| m != 0) {
-                *a = false;
-            }
-        }
-    }
-    alive.into_iter().map(|a| !a).collect()
-}
-
-/// Detected transition faults for a pattern *sequence*.
-pub fn transition_detected_by(
-    netlist: &Netlist,
-    access: &TestAccess,
-    faults: &[TransitionFault],
-    patterns: &[Pattern],
-) -> Vec<bool> {
-    let mut fs = FaultSimulator::new(netlist);
-    let alive = vec![true; faults.len()];
-    transition::simulate_sequence(&mut fs, netlist, access, patterns, faults, &alive)
+    detected(netlist, access, faults, &mut fs, patterns, LANES)
 }
 
 #[cfg(test)]

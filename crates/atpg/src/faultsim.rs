@@ -29,6 +29,9 @@
 //!   lane exactly as its own walk would: nodes a lane reconverged at carry
 //!   that lane's good value in the stamped overlay.
 
+use std::ops::Range;
+use std::sync::Mutex;
+
 use prebond3d_netlist::Netlist;
 use prebond3d_pool as pool;
 
@@ -38,11 +41,10 @@ use crate::rank_queue::RankQueue;
 use crate::sim::{eval_rail_wide, Lanes, Pattern, RailW, SimError, Simulator};
 
 /// Epoch-stamped overlay of faulty values plus the event queue — the
-/// only mutable scratch a single-fault resimulation needs. Each pool
-/// worker owns one overlay (allocated once per worker, reused across its
-/// chunk of faults), which is what makes the fault loop embarrassingly
-/// parallel: everything else in a batch (`Simulator`, good machine, fault
-/// list) is shared read-only.
+/// only mutable scratch a single-fault resimulation needs. Each worker of
+/// a batch holds one overlay for its whole share of the faults, which is
+/// what makes the fault loop embarrassingly parallel: everything else in
+/// a batch (`Simulator`, good machine, fault list) is shared read-only.
 #[derive(Debug)]
 struct Overlay<const W: usize> {
     stamp: Vec<u32>,
@@ -59,6 +61,45 @@ impl<const W: usize> Overlay<W> {
             faulty: vec![(Lanes::ZERO, Lanes::ZERO); len],
             epoch: 0,
             queue: RankQueue::new(len),
+        }
+    }
+}
+
+/// The overlays of one lane width that no batch is using, kept for the
+/// life of a [`FaultSimulator`]. Each worker of a batch leases one
+/// (allocating only when the stack is empty) and returns it when the
+/// batch ends, so a simulator allocates at most one overlay per worker per
+/// width. Masks do not depend on which overlay a fault gets: walks are
+/// epoch-stamped.
+#[derive(Debug, Default)]
+struct Spares<const W: usize>(Mutex<Vec<Overlay<W>>>);
+
+impl<const W: usize> Spares<W> {
+    fn lease(&self, len: usize) -> Lease<'_, W> {
+        let spare = self.0.lock().expect("no holder panics").pop();
+        Lease {
+            overlay: spare.unwrap_or_else(|| Overlay::new(len)),
+            home: self,
+        }
+    }
+}
+
+/// An overlay on loan to one worker; dropping the lease returns the
+/// overlay to its stack. A walk that unwound may have left ranks queued,
+/// so an overlay dropped during a panic is freed instead.
+struct Lease<'a, const W: usize> {
+    overlay: Overlay<W>,
+    home: &'a Spares<W>,
+}
+
+impl<const W: usize> Drop for Lease<'_, W> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            return;
+        }
+        if let Ok(mut spares) = self.home.0.lock() {
+            // `Overlay::new(0)` allocates nothing.
+            spares.push(std::mem::replace(&mut self.overlay, Overlay::new(0)));
         }
     }
 }
@@ -114,11 +155,10 @@ impl LaneFill {
 #[derive(Debug)]
 pub struct FaultSimulator {
     sim: Simulator,
-    /// Overlays reused by the serial (single-thread) path, one per lane
-    /// width actually exercised (wide ones allocated on first use).
-    overlay1: Overlay<1>,
-    overlay4: Option<Overlay<4>>,
-    overlay8: Option<Overlay<8>>,
+    /// Spare overlays per lane width (1, 4, 8), filled on first use.
+    spares1: Spares<1>,
+    spares4: Spares<4>,
+    spares8: Spares<8>,
     /// Detection-mask buffer reused across batches **and lane widths**
     /// (flat, fault-major/lane-minor: slot `f * W + l` is fault `f`,
     /// block `l`); batch entry points return a borrowed view of it.
@@ -131,9 +171,9 @@ impl FaultSimulator {
     pub fn new(netlist: &Netlist) -> Self {
         FaultSimulator {
             sim: Simulator::new(netlist),
-            overlay1: Overlay::new(netlist.len()),
-            overlay4: None,
-            overlay8: None,
+            spares1: Spares::default(),
+            spares4: Spares::default(),
+            spares8: Spares::default(),
             masks: Vec::new(),
             lane_fill: LaneFill::default(),
         }
@@ -144,63 +184,23 @@ impl FaultSimulator {
         &self.sim
     }
 
-    /// Simulate `patterns` (≤ 64) against each fault in `faults` where
-    /// `alive[i]` is true. Returns one detection bitmask per fault: bit *p*
-    /// set ⇔ pattern *p* detects the fault. The slice borrows the
+    /// Simulate up to 512 `patterns` against each fault in `faults` where
+    /// `alive[i]` is true, stopping each fault's propagation at the first
+    /// detecting observation point. Returns `(w, masks)` where
+    /// `masks[f * w + l]` is fault `f`'s detection mask for 64-pattern
+    /// block `l` (pattern `l * 64 + b` ⇔ bit `b`). The width `w` is chosen
+    /// from the pattern count (1, 4, or 8 lanes), so a tail batch never
+    /// pays for empty lanes, and ≤ 64 patterns run at `w = 1`.
+    ///
+    /// The masks are partial (at least one bit of every detected fault is
+    /// set) — enough for fault dropping and pattern crediting, and several
+    /// times cheaper on large dies where the full fanout cone is deep. Not
+    /// suitable for two-pattern (transition) accounting, which needs
+    /// exact per-pattern masks. Each block's mask is byte-identical to
+    /// simulating that block alone against the same `alive` set (see the
+    /// module docs on per-lane freezing). The slice borrows the
     /// simulator's persistent mask buffer (reused across batches); copy it
     /// out (`.to_vec()`) if it must outlive the next batch.
-    pub fn simulate_batch(
-        &mut self,
-        netlist: &Netlist,
-        access: &TestAccess,
-        patterns: &[Pattern],
-        faults: &[Fault],
-        alive: &[bool],
-    ) -> Result<&[u64], SimError> {
-        if patterns.len() > 64 {
-            return Err(SimError::TooManyPatterns {
-                given: patterns.len(),
-                capacity: 64,
-            });
-        }
-        let (_, masks) =
-            self.dispatch(netlist, access, patterns, faults, alive, NeedSpec::Exact)?;
-        Ok(masks)
-    }
-
-    /// [`Self::simulate_batch`] that stops each fault's propagation at the
-    /// first detecting observation point. The returned masks are partial
-    /// (at least one bit of every detected fault is set) — enough for
-    /// fault dropping and pattern crediting, and several times cheaper on
-    /// large dies where the full fanout cone is deep. Not suitable for
-    /// two-pattern (transition) accounting, which needs exact per-pattern
-    /// masks.
-    pub fn simulate_batch_any(
-        &mut self,
-        netlist: &Netlist,
-        access: &TestAccess,
-        patterns: &[Pattern],
-        faults: &[Fault],
-        alive: &[bool],
-    ) -> Result<&[u64], SimError> {
-        if patterns.len() > 64 {
-            return Err(SimError::TooManyPatterns {
-                given: patterns.len(),
-                capacity: 64,
-            });
-        }
-        let (_, masks) = self.dispatch(netlist, access, patterns, faults, alive, NeedSpec::Any)?;
-        Ok(masks)
-    }
-
-    /// Wide-lane [`Self::simulate_batch_any`]: up to 512 patterns per
-    /// physical batch. Returns `(w, masks)` where `masks[f * w + l]` is
-    /// fault `f`'s detection mask for 64-pattern block `l` (pattern
-    /// `l * 64 + b` ⇔ bit `b`). The width `w` is chosen from the pattern
-    /// count (1, 4, or 8 lanes), so a tail batch never pays for empty
-    /// lanes; each block's mask is byte-identical to simulating that block
-    /// alone with [`Self::simulate_batch_any`] against the same `alive`
-    /// set (see the module docs on per-lane freezing).
     pub fn simulate_batch_any_wide(
         &mut self,
         netlist: &Netlist,
@@ -212,8 +212,8 @@ impl FaultSimulator {
         self.dispatch(netlist, access, patterns, faults, alive, NeedSpec::Any)
     }
 
-    /// Wide-lane [`Self::simulate_batch`] (exact masks, no early exit):
-    /// same `(w, masks)` contract as [`Self::simulate_batch_any_wide`].
+    /// [`Self::simulate_batch_any_wide`] with exact masks (no early exit):
+    /// bit *p* of a block's mask is set ⇔ pattern *p* detects the fault.
     pub fn simulate_batch_wide(
         &mut self,
         netlist: &Netlist,
@@ -270,41 +270,33 @@ impl FaultSimulator {
         alive: &[bool],
         spec: NeedSpec<'_>,
     ) -> Result<(usize, &[u64]), SimError> {
-        let blocks = patterns.len().div_ceil(64);
         let FaultSimulator {
             sim,
-            overlay1,
-            overlay4,
-            overlay8,
+            spares1,
+            spares4,
+            spares8,
             masks,
             lane_fill,
         } = self;
-        match blocks {
-            0 | 1 => {
-                batch_masks::<1>(
-                    sim, overlay1, masks, lane_fill, netlist, access, patterns, faults, alive, spec,
-                )?;
-                Ok((1, &*masks))
-            }
-            2..=4 => {
-                let overlay = overlay4.get_or_insert_with(|| Overlay::new(netlist.len()));
-                batch_masks::<4>(
-                    sim, overlay, masks, lane_fill, netlist, access, patterns, faults, alive, spec,
-                )?;
-                Ok((4, &*masks))
-            }
-            5..=8 => {
-                let overlay = overlay8.get_or_insert_with(|| Overlay::new(netlist.len()));
-                batch_masks::<8>(
-                    sim, overlay, masks, lane_fill, netlist, access, patterns, faults, alive, spec,
-                )?;
-                Ok((8, &*masks))
-            }
+        let w = match patterns.len().div_ceil(64) {
+            0 | 1 => batch_masks(
+                sim, spares1, masks, lane_fill, netlist, access, patterns, faults, alive, spec,
+            )
+            .map(|()| 1),
+            2..=4 => batch_masks(
+                sim, spares4, masks, lane_fill, netlist, access, patterns, faults, alive, spec,
+            )
+            .map(|()| 4),
+            5..=8 => batch_masks(
+                sim, spares8, masks, lane_fill, netlist, access, patterns, faults, alive, spec,
+            )
+            .map(|()| 8),
             _ => Err(SimError::TooManyPatterns {
                 given: patterns.len(),
                 capacity: 512,
             }),
-        }
+        }?;
+        Ok((w, &*masks))
     }
 }
 
@@ -312,15 +304,17 @@ impl FaultSimulator {
 /// cone-restricted resimulation per alive fault, at lane width `W`.
 ///
 /// Per-fault resimulations are independent (shared state is read-only,
-/// scratch is per-overlay), so with more than one pool thread the fault
-/// list is partitioned into index-contiguous chunks and the masks are
-/// merged back in fault order — bit-identical to the serial loop (see
-/// `prebond3d-pool`'s determinism contract). `PREBOND3D_THREADS=1`
-/// takes the exact pre-existing serial path with the persistent overlay.
+/// scratch is per-overlay), so a batch of at least
+/// `PAR_FAULT_THRESHOLD` faults on more than one pool thread partitions
+/// the fault list into index-contiguous chunks and merges the masks back
+/// in fault order — bit-identical to one pass over the whole list (see
+/// `prebond3d-pool`'s determinism contract). A smaller batch, or one on a
+/// single thread, runs that one pass on the caller without entering the
+/// pool.
 #[allow(clippy::too_many_arguments)]
 fn batch_masks<const W: usize>(
     sim: &Simulator,
-    overlay: &mut Overlay<W>,
+    spares: &Spares<W>,
     out: &mut Vec<u64>,
     lane_fill: &mut LaneFill,
     netlist: &Netlist,
@@ -361,23 +355,31 @@ fn batch_masks<const W: usize>(
         good: &good,
         used,
     };
-    let threads = pool::threads();
-    let evals = if threads <= 1 || faults.len() < PAR_FAULT_THRESHOLD {
-        out.clear();
-        out.resize(faults.len() * W, 0);
+    // The one fault loop: append the masks of `range` to `masks`, return
+    // its gate evaluations.
+    let grade = |overlay: &mut Overlay<W>, range: Range<usize>, masks: &mut Vec<u64>| {
         let mut tally = 0u64;
-        for (fi, fault) in faults.iter().enumerate() {
+        for fi in range {
             if alive[fi] {
-                let (mask, e) = simulate_one(&ctx, overlay, *fault, need_at(fi));
-                out[fi * W..(fi + 1) * W].copy_from_slice(&mask.0);
+                let (mask, e) = simulate_one(&ctx, overlay, faults[fi], need_at(fi));
+                masks.extend_from_slice(&mask.0);
                 tally += e;
+            } else {
+                masks.extend_from_slice(&[0u64; W]);
             }
         }
         tally
+    };
+    out.clear();
+    let threads = pool::threads();
+    let evals = if threads <= 1 || faults.len() < PAR_FAULT_THRESHOLD {
+        grade(
+            &mut spares.lease(netlist.len()).overlay,
+            0..faults.len(),
+            out,
+        )
     } else {
         prebond3d_obs::count("atpg.faultsim_parallel_batches", 1);
-        let ctx = &ctx;
-        let need_at = &need_at;
         // ~8 chunks per worker for load balancing; ≥32 faults per chunk
         // so the per-chunk merge stays negligible next to cone
         // resimulation.
@@ -385,25 +387,15 @@ fn batch_masks<const W: usize>(
         let chunks = pool::par_chunks(
             faults.len(),
             chunk,
-            || Overlay::<W>::new(netlist.len()),
-            |overlay, range| {
-                let mut tally = 0u64;
+            || spares.lease(netlist.len()),
+            |lease, range| {
                 let mut masks = Vec::with_capacity(range.len() * W);
-                for fi in range {
-                    if alive[fi] {
-                        let (mask, e) = simulate_one(ctx, overlay, faults[fi], need_at(fi));
-                        tally += e;
-                        masks.extend_from_slice(&mask.0);
-                    } else {
-                        masks.extend_from_slice(&[0u64; W]);
-                    }
-                }
-                (masks, tally)
+                let evals = grade(&mut lease.overlay, range, &mut masks);
+                (masks, evals)
             },
         );
         // Merge in chunk (= fault) order: masks and the eval tally are
-        // both bit-identical to the serial loop.
-        out.clear();
+        // both bit-identical to one pass over the whole list.
         let mut tally = 0u64;
         for (chunk_masks, chunk_evals) in chunks {
             out.extend_from_slice(&chunk_masks);
@@ -626,9 +618,10 @@ mod tests {
             Fault::output(g, StuckAt::Zero),
             Fault::output(g, StuckAt::One),
         ];
-        let masks = fs
-            .simulate_batch(&n, &acc, &ps, &faults, &[true, true])
+        let (w, masks) = fs
+            .simulate_batch_wide(&n, &acc, &ps, &faults, &[true, true])
             .unwrap();
+        assert_eq!(w, 1, "up to 64 patterns run in one lane");
         // sa0 detected only by 11 (bit 3); sa1 by 00,01,10 (bits 0..=2).
         assert_eq!(masks[0], 0b1000);
         assert_eq!(masks[1], 0b0111);
@@ -643,7 +636,10 @@ mod tests {
             bits: vec![true, true],
         }];
         let faults = vec![Fault::output(g, StuckAt::Zero)];
-        let masks = fs.simulate_batch(&n, &acc, &ps, &faults, &[false]).unwrap();
+        let masks = fs
+            .simulate_batch_wide(&n, &acc, &ps, &faults, &[false])
+            .unwrap()
+            .1;
         assert_eq!(masks[0], 0);
     }
 
@@ -672,8 +668,9 @@ mod tests {
             Fault::input(g2, 0, StuckAt::Zero),
         ];
         let masks = fs
-            .simulate_batch(&n, &acc, &[p], &faults, &[true; 3])
-            .unwrap();
+            .simulate_batch_wide(&n, &acc, &[p], &faults, &[true; 3])
+            .unwrap()
+            .1;
         assert_eq!(masks[0], 1, "stem fault detected");
         assert_eq!(masks[1], 1, "g1 branch detected via o1");
         assert_eq!(masks[2], 1, "g2 branch detected via o2 (1|0→0|0)");
@@ -697,8 +694,9 @@ mod tests {
             Fault::output(g, StuckAt::One),
         ];
         let masks = fs
-            .simulate_batch(&n, &acc, &ps, &faults, &[true, true])
-            .unwrap();
+            .simulate_batch_wide(&n, &acc, &ps, &faults, &[true, true])
+            .unwrap()
+            .1;
         assert_eq!(masks[0], 0, "sa0 needs good=1, impossible with X input");
         // sa1: good must be 0; with a=0 AND is 0 regardless of X → good
         // known 0, faulty 1 → detected.
@@ -730,8 +728,9 @@ mod tests {
         let masks_at = |threads: usize| {
             pool::with_threads(threads, || {
                 let mut fs = FaultSimulator::new(&die);
-                fs.simulate_batch(&die, &acc, &ps, &list.faults, &alive)
+                fs.simulate_batch_wide(&die, &acc, &ps, &list.faults, &alive)
                     .unwrap()
+                    .1
                     .to_vec()
             })
         };
@@ -766,8 +765,9 @@ mod tests {
         let mut fs2 = FaultSimulator::new(&die);
         for (block, chunk) in ps.chunks(64).enumerate() {
             let narrow = fs2
-                .simulate_batch(&die, &acc, chunk, &list.faults, &alive)
-                .unwrap();
+                .simulate_batch_wide(&die, &acc, chunk, &list.faults, &alive)
+                .unwrap()
+                .1;
             for (fi, &m) in narrow.iter().enumerate() {
                 assert_eq!(wide[fi * w + block], m, "fault {fi} block {block}");
             }
@@ -824,8 +824,9 @@ mod tests {
         let mut fs2 = FaultSimulator::new(&die);
         for (block, chunk) in ps.chunks(64).enumerate() {
             let narrow = fs2
-                .simulate_batch_any(&die, &acc, chunk, &list.faults, &alive)
-                .unwrap();
+                .simulate_batch_any_wide(&die, &acc, chunk, &list.faults, &alive)
+                .unwrap()
+                .1;
             for (fi, &m) in narrow.iter().enumerate() {
                 assert_eq!(
                     wide[fi * w + block],
@@ -858,8 +859,9 @@ mod tests {
                 })
                 .collect();
             let masks = fs
-                .simulate_batch(&die, &acc, &ps, &list.faults, &alive)
+                .simulate_batch_wide(&die, &acc, &ps, &list.faults, &alive)
                 .unwrap()
+                .1
                 .to_vec();
             for (i, m) in masks.iter().enumerate() {
                 if alive[i] && *m != 0 {
@@ -926,21 +928,67 @@ mod tests {
         all
     }
 
+    /// The epochs of the spare overlays a simulator holds between batches,
+    /// per lane width (1, 4, 8). An overlay's epoch counts the walks it
+    /// has made.
+    fn spare_epochs(fs: &mut FaultSimulator) -> [Vec<u32>; 3] {
+        [
+            epochs(&mut fs.spares1),
+            epochs(&mut fs.spares4),
+            epochs(&mut fs.spares8),
+        ]
+    }
+
+    /// Overlays outlive their batch at every thread count: five successive
+    /// batches on one simulator grade every fault exactly as a fresh
+    /// simulator per fault does. The exercised width ends up holding one
+    /// to `threads` overlays whose epochs add up to every walk of the five
+    /// batches, so none was dropped or replaced: the simulator allocated
+    /// at most one overlay per worker.
     #[test]
-    fn persistent_serial_overlay_matches_a_fresh_simulator_per_fault() {
+    fn persistent_overlays_match_a_fresh_simulator_per_fault() {
         let die = itc99::generate_flat("d", 120, 10, 5, 5, 17);
         let acc = TestAccess::full_scan(&die);
         let list = FaultList::collapsed(&die);
-        // 64 patterns run at W=1, 300 at W=8.
-        for count in [64, 300] {
-            let ps = random_patterns(acc.width(), count, 0x5EED_0000 + count as u64);
+        assert!(
+            list.len() >= PAR_FAULT_THRESHOLD,
+            "must take the parallel path"
+        );
+        // 64 patterns run at W=1, 200 at W=4, 300 at W=8.
+        for (width, count) in [(0, 64), (1, 200), (2, 300)] {
+            let batches: Vec<Vec<Pattern>> = (0..5)
+                .map(|b| random_patterns(acc.width(), count, 0x5EED_0000 + count as u64 * 8 + b))
+                .collect();
             for any in [false, true] {
-                let persistent = pool::with_threads(1, || {
-                    let mut fs = FaultSimulator::new(&die);
-                    grade(&mut fs, &die, &acc, &ps, &list.faults, any)
-                });
-                let fresh = grade_fresh(&die, &acc, &ps, &list.faults, any);
-                assert_eq!(persistent, fresh, "{count} patterns, any = {any}");
+                let fresh: Vec<_> = batches
+                    .iter()
+                    .map(|ps| grade_fresh(&die, &acc, ps, &list.faults, any))
+                    .collect();
+                for threads in [1, 2, 8] {
+                    pool::with_threads(threads, || {
+                        let mut fs = FaultSimulator::new(&die);
+                        for (b, ps) in batches.iter().enumerate() {
+                            let persistent = grade(&mut fs, &die, &acc, ps, &list.faults, any);
+                            assert_eq!(
+                                persistent, fresh[b],
+                                "{count} patterns, any = {any}, {threads} threads, batch {b}"
+                            );
+                        }
+                        let held = spare_epochs(&mut fs);
+                        for (w, epochs) in held.iter().enumerate() {
+                            let (count, walks) = if w == width {
+                                (1..=threads, batches.len() * list.len())
+                            } else {
+                                (0..=0, 0)
+                            };
+                            assert!(
+                                count.contains(&epochs.len())
+                                    && epochs.iter().sum::<u32>() as usize == walks,
+                                "{threads} threads hold overlays with epochs {held:?}"
+                            );
+                        }
+                    });
+                }
             }
         }
     }
@@ -948,9 +996,22 @@ mod tests {
     /// Stamp every gate as if the walk at epoch 1 had touched it, then
     /// move the overlay to the edge of the epoch wrap: a wrap that kept
     /// the old stamps would read those faulty values as current.
-    fn near_wrap<const W: usize>(overlay: &mut Overlay<W>) {
-        overlay.stamp.fill(1);
-        overlay.epoch = u32::MAX - 1;
+    fn near_wrap<const W: usize>(spares: &mut Spares<W>) {
+        for overlay in spares.0.get_mut().unwrap() {
+            overlay.stamp.fill(1);
+            overlay.epoch = u32::MAX - 1;
+        }
+    }
+
+    /// The epochs of one width's spare overlays.
+    fn epochs<const W: usize>(spares: &mut Spares<W>) -> Vec<u32> {
+        spares
+            .0
+            .get_mut()
+            .unwrap()
+            .iter()
+            .map(|o| o.epoch)
+            .collect()
     }
 
     #[test]
@@ -962,22 +1023,62 @@ mod tests {
             let ps = random_patterns(acc.width(), count, 0x3A9_0000 + count as u64);
             for any in [false, true] {
                 let fresh = grade_fresh(&die, &acc, &ps, &list.faults, any);
-                pool::with_threads(1, || {
-                    let mut fs = FaultSimulator::new(&die);
-                    grade(&mut fs, &die, &acc, &ps, &list.faults, any);
-                    match count {
-                        64 => near_wrap(&mut fs.overlay1),
-                        _ => near_wrap(fs.overlay8.as_mut().unwrap()),
-                    }
-                    let wrapped = grade(&mut fs, &die, &acc, &ps, &list.faults, any);
-                    let epoch = match count {
-                        64 => fs.overlay1.epoch,
-                        _ => fs.overlay8.as_ref().unwrap().epoch,
-                    };
-                    assert!(epoch <= list.len() as u32, "epoch wrapped");
-                    assert_eq!(wrapped, fresh, "{count} patterns, any = {any}");
-                });
+                for threads in [1, 2] {
+                    pool::with_threads(threads, || {
+                        let mut fs = FaultSimulator::new(&die);
+                        grade(&mut fs, &die, &acc, &ps, &list.faults, any);
+                        match count {
+                            64 => near_wrap(&mut fs.spares1),
+                            _ => near_wrap(&mut fs.spares8),
+                        }
+                        let wrapped = grade(&mut fs, &die, &acc, &ps, &list.faults, any);
+                        let epochs = match count {
+                            64 => epochs(&mut fs.spares1),
+                            _ => epochs(&mut fs.spares8),
+                        };
+                        // A worker that started after another finished may
+                        // have reused that one's overlay and left its own
+                        // spare untouched.
+                        let wrapped_or_idle =
+                            |&e: &u32| e <= list.len() as u32 || e == u32::MAX - 1;
+                        assert!(
+                            epochs.iter().all(wrapped_or_idle)
+                                && epochs.iter().any(|&e| e <= list.len() as u32),
+                            "epochs {epochs:?} did not wrap"
+                        );
+                        assert_eq!(
+                            wrapped, fresh,
+                            "{count} patterns, any = {any}, {threads} threads"
+                        );
+                    });
+                }
             }
         }
+    }
+
+    /// The widest batch is 512 patterns, the per-fault-need batch 64: one
+    /// more is a typed error, not a panic.
+    #[test]
+    fn oversized_batches_are_typed_errors() {
+        let (n, acc) = and_rig();
+        let faults = [Fault::output(n.find("g").unwrap(), StuckAt::Zero)];
+        let mut fs = FaultSimulator::new(&n);
+        let ps = vec![Pattern::zeroes(acc.width()); 513];
+        assert_eq!(
+            fs.simulate_batch_wide(&n, &acc, &ps, &faults, &[true])
+                .map(|(w, m)| (w, m.to_vec())),
+            Err(SimError::TooManyPatterns {
+                given: 513,
+                capacity: 512
+            })
+        );
+        assert_eq!(
+            fs.simulate_batch_with_need(&n, &acc, &ps[..65], &faults, &[true], &[1])
+                .map(<[u64]>::to_vec),
+            Err(SimError::TooManyPatterns {
+                given: 65,
+                capacity: 64
+            })
+        );
     }
 }

@@ -975,8 +975,9 @@ mod tests {
             if let PodemOutcome::Test(cube) = podem.generate(*fault) {
                 let pattern = Pattern::from_v3(&cube, false);
                 let masks = fs
-                    .simulate_batch(&die, &acc, &[pattern], &[*fault], &[true])
-                    .unwrap();
+                    .simulate_batch_wide(&die, &acc, &[pattern], &[*fault], &[true])
+                    .unwrap()
+                    .1;
                 assert_ne!(
                     masks[0] & 1,
                     0,

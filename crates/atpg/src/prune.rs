@@ -255,8 +255,9 @@ mod tests {
                 .collect();
             let alive = vec![true; pruned.len()];
             let masks = fs
-                .simulate_batch(&die, &access, &patterns, &pruned, &alive)
-                .unwrap();
+                .simulate_batch_wide(&die, &access, &patterns, &pruned, &alive)
+                .unwrap()
+                .1;
             assert!(
                 masks.iter().all(|&m| m == 0),
                 "a statically-pruned fault was detected by simulation"

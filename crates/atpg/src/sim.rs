@@ -180,19 +180,9 @@ pub type Rail = (u64, u64);
 /// Dual-rail lane-bundle pair: the wide analogue of [`Rail`].
 pub type RailW<const W: usize> = (Lanes<W>, Lanes<W>);
 
-/// Evaluate `kind` over dual-rail bit-parallel inputs, one 64-bit lane.
-pub fn eval_rail(kind: GateKind, inputs: &[Rail]) -> Rail {
-    let mut wide = [(Lanes([0u64]), Lanes([0u64])); 3];
-    for (w, &(v, u)) in wide.iter_mut().zip(inputs) {
-        *w = (Lanes([v]), Lanes([u]));
-    }
-    let (v, u) = eval_rail_wide::<1>(kind, &wide[..inputs.len()]);
-    (v.0[0], u.0[0])
-}
-
 /// Evaluate `kind` over dual-rail lane bundles. The single truth-table
-/// implementation every width shares: `eval_rail` is the `W=1`
-/// monomorphization, so wide and narrow simulation cannot drift apart.
+/// implementation every width shares, so wide and narrow simulation
+/// cannot drift apart.
 pub fn eval_rail_wide<const W: usize>(kind: GateKind, inputs: &[RailW<W>]) -> RailW<W> {
     #[inline]
     fn ones<const W: usize>(r: RailW<W>) -> Lanes<W> {
@@ -239,7 +229,7 @@ pub fn eval_rail_wide<const W: usize>(kind: GateKind, inputs: &[RailW<W>]) -> Ra
             let zero = (zeros(s) & zeros(a)) | (ones(s) & zeros(b)) | (zeros(a) & zeros(b));
             from01(one, zero)
         }
-        _ => unreachable!("eval_rail on non-combinational {kind:?}"),
+        _ => unreachable!("eval_rail_wide on non-combinational {kind:?}"),
     }
 }
 
@@ -490,17 +480,18 @@ mod tests {
     fn rail_eval_matches_scalar_v3() {
         use prebond3d_netlist::eval_v3;
         let vals = [V3::Zero, V3::One, V3::X];
-        let to_rail = |v: V3| -> Rail {
-            match v {
+        let to_rail = |v: V3| -> RailW<1> {
+            let (val, unk) = match v {
                 V3::Zero => (0, 0),
                 V3::One => (1, 0),
                 V3::X => (0, 1),
-            }
+            };
+            (Lanes([val]), Lanes([unk]))
         };
-        let from_rail = |r: Rail| -> V3 {
-            if r.1 & 1 == 1 {
+        let from_rail = |(val, unk): RailW<1>| -> V3 {
+            if unk.lane(0) & 1 == 1 {
                 V3::X
-            } else if r.0 & 1 == 1 {
+            } else if val.lane(0) & 1 == 1 {
                 V3::One
             } else {
                 V3::Zero
@@ -517,14 +508,14 @@ mod tests {
             for &a in &vals {
                 for &b in &vals {
                     let want = eval_v3(kind, &[a, b]);
-                    let got = from_rail(eval_rail(kind, &[to_rail(a), to_rail(b)]));
+                    let got = from_rail(eval_rail_wide(kind, &[to_rail(a), to_rail(b)]));
                     assert_eq!(got, want, "{kind:?}({a:?},{b:?})");
                 }
             }
         }
         for &a in &vals {
             assert_eq!(
-                from_rail(eval_rail(GateKind::Not, &[to_rail(a)])),
+                from_rail(eval_rail_wide(GateKind::Not, &[to_rail(a)])),
                 eval_v3(GateKind::Not, &[a])
             );
         }
@@ -532,7 +523,7 @@ mod tests {
             for &b in &vals {
                 for &s in &vals {
                     let want = eval_v3(GateKind::Mux2, &[a, b, s]);
-                    let got = from_rail(eval_rail(
+                    let got = from_rail(eval_rail_wide(
                         GateKind::Mux2,
                         &[to_rail(a), to_rail(b), to_rail(s)],
                     ));

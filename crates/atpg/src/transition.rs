@@ -14,7 +14,7 @@ use prebond3d_netlist::Netlist;
 use crate::access::TestAccess;
 use crate::fault::{Fault, FaultList, FaultSite, StuckAt};
 use crate::faultsim::FaultSimulator;
-use crate::sim::Pattern;
+use crate::sim::{Lanes, Pattern};
 
 /// Transition polarity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -99,13 +99,13 @@ pub fn simulate_sequence(
     if patterns.len() < 2 {
         return detected;
     }
+    let launch: Vec<Fault> = faults.iter().map(TransitionFault::launch_fault).collect();
     // Overlapping 64-pattern windows with one pattern of overlap so every
     // consecutive pair is covered exactly once.
     let mut start = 0usize;
     while start + 1 < patterns.len() {
         let end = (start + 64).min(patterns.len());
         let window = &patterns[start..end];
-        let launch: Vec<Fault> = faults.iter().map(TransitionFault::launch_fault).collect();
         let window_alive: Vec<bool> = alive
             .iter()
             .zip(detected.iter())
@@ -118,11 +118,7 @@ pub fn simulate_sequence(
             .simulator()
             .run_batch(netlist, access, window)
             .expect("sequence window holds at most 64 patterns");
-        let used: u64 = if window.len() == 64 {
-            u64::MAX
-        } else {
-            (1u64 << window.len()) - 1
-        };
+        let used = Lanes::<1>::used_mask(window.len()).lane(0);
         let init_masks: Vec<u64> = faults
             .iter()
             .map(|fault| {

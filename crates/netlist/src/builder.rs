@@ -25,7 +25,6 @@ use crate::netlist::Netlist;
 pub struct NetlistBuilder {
     name: String,
     gates: Vec<Gate>,
-    auto_counter: u64,
 }
 
 impl NetlistBuilder {
@@ -34,7 +33,6 @@ impl NetlistBuilder {
         NetlistBuilder {
             name: name.into(),
             gates: Vec::new(),
-            auto_counter: 0,
         }
     }
 
@@ -54,14 +52,6 @@ impl NetlistBuilder {
         id
     }
 
-    /// A fresh name with the given prefix, guaranteed unique among
-    /// auto-generated names.
-    pub fn fresh_name(&mut self, prefix: &str) -> String {
-        let n = self.auto_counter;
-        self.auto_counter += 1;
-        format!("{prefix}_{n}")
-    }
-
     /// Add a gate of `kind` driven by `inputs`.
     ///
     /// # Panics
@@ -77,12 +67,6 @@ impl NetlistBuilder {
             inputs.len()
         );
         self.push(Gate::new(name, kind, inputs.to_vec()))
-    }
-
-    /// Add a gate with an auto-generated name.
-    pub fn gate_auto(&mut self, kind: GateKind, inputs: &[GateId]) -> GateId {
-        let name = self.fresh_name(kind.mnemonic());
-        self.gate(kind, inputs, name)
     }
 
     /// Add a primary input.
@@ -150,14 +134,6 @@ mod tests {
         b.output(nq, "out");
         let n = b.finish().unwrap();
         assert_eq!(n.flip_flops().len(), 1);
-    }
-
-    #[test]
-    fn fresh_names_are_unique() {
-        let mut b = NetlistBuilder::new("t");
-        let n1 = b.fresh_name("x");
-        let n2 = b.fresh_name("x");
-        assert_ne!(n1, n2);
     }
 
     #[test]

@@ -496,11 +496,6 @@ pub fn generate_die(spec: &DieSpec) -> Netlist {
     Netlist::from_gates(spec.name.clone(), gates).expect("generator emits valid netlists")
 }
 
-/// Generate all four dies of a circuit.
-pub fn generate_circuit(spec: &CircuitSpec) -> Vec<Netlist> {
-    spec.dies.iter().map(generate_die).collect()
-}
-
 /// Generate a *flat* (unpartitioned) synthetic circuit with the given
 /// budgets. Used to exercise the partitioning substrate end-to-end, the way
 /// the authors ran 3D-Craft on the flat ITC'99 netlists.

@@ -81,11 +81,6 @@ pub fn drain_chunk_wait() -> Hist {
     std::mem::take(&mut *CHUNK_WAIT.lock().unwrap())
 }
 
-/// Copy of the global chunk-wait histogram without resetting (tests).
-pub fn chunk_wait_snapshot() -> Hist {
-    CHUNK_WAIT.lock().unwrap().clone()
-}
-
 static CONFIGURED: OnceLock<usize> = OnceLock::new();
 
 thread_local! {
@@ -372,20 +367,6 @@ where
     .collect()
 }
 
-/// Parallel map followed by a **serial, submission-order fold** — the
-/// reduction runs on the caller over results ordered by input index, so
-/// non-commutative folds (bitset merges, report sections) stay
-/// deterministic.
-pub fn par_map_reduce<T, R, A, F, G>(items: &[T], f: F, acc: A, fold: G) -> A
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-    G: FnMut(A, R) -> A,
-{
-    par_map(items, f).into_iter().fold(acc, fold)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,22 +434,5 @@ mod tests {
         let before = threads();
         let _ = std::panic::catch_unwind(|| with_threads(7, || panic!("boom")));
         assert_eq!(threads(), before);
-    }
-
-    #[test]
-    fn par_map_reduce_folds_in_order() {
-        let items: Vec<u32> = (0..100).collect();
-        let folded = with_threads(4, || {
-            par_map_reduce(
-                &items,
-                |&x| x,
-                Vec::new(),
-                |mut acc, x| {
-                    acc.push(x);
-                    acc
-                },
-            )
-        });
-        assert_eq!(folded, items);
     }
 }

@@ -16,9 +16,11 @@
 //! ```text
 //! prebond3d journal v1
 //! {"ev":"accepted","key":"00ab…","spec":{"op":"submit",…}}
-//! {"ev":"running","key":"00ab…"}
 //! {"ev":"done","key":"00ab…","code":0,"report":{…}}
 //! ```
+//!
+//! Two entries per job, two fsyncs. Journals from older daemons may also
+//! hold `{"ev":"running",…}` lines; the loader accepts and ignores them.
 //!
 //! `key` is the job's **content-addressed idempotency key**
 //! ([`crate::jobs::idempotency_key`]): an FNV over the client id, the
@@ -32,7 +34,7 @@
 //! Entries fold per key, later entries winning:
 //!
 //! ```text
-//! (absent) --accepted--> pending --running--> pending --done--> done
+//! (absent) --accepted--> pending --done--> done
 //! ```
 //!
 //! On load, keys left in `pending` are the crash's orphans and are
@@ -286,9 +288,7 @@ fn fold_entries(text: &str, window: usize) -> Recovery {
                     _ => recovery.corrupt_lines += 1,
                 }
             }
-            // `running` carries no new state for recovery: the job is
-            // still unfinished. It exists so an operator reading the
-            // journal can tell queued from in-flight at the crash.
+            // Written by older daemons before each job; it changes no state.
             "running" => {}
             "done" => {
                 let Some(record) = DoneRecord::from_json(&entry) else {
@@ -396,14 +396,6 @@ impl Journal {
         self.append(&accepted_json(key, &proto::submit_json(spec)));
     }
 
-    /// Journal the accepted → running transition.
-    pub fn running(&self, key: u64) {
-        self.append(&Value::obj([
-            ("ev", "running".into()),
-            ("key", key_hex(key).as_str().into()),
-        ]));
-    }
-
     /// Journal a terminal record.
     pub fn done(&self, key: u64, record: &DoneRecord) {
         self.append(&record.to_json(key));
@@ -447,7 +439,6 @@ mod tests {
             assert!(recovery.pending.is_empty() && recovery.done.is_empty());
             journal.accepted(1, &s1);
             journal.accepted(2, &s2);
-            journal.running(1);
             journal.done(
                 1,
                 &DoneRecord {
@@ -507,6 +498,27 @@ mod tests {
         assert!(recovery.pending.is_empty());
         assert_eq!(recovery.done.len(), 1);
         assert_eq!(recovery.done.get(3).unwrap().error.as_deref(), Some("boom"));
+    }
+
+    /// Journals written by daemons that logged a `running` line before
+    /// each job still load cleanly: the line is ignored, not corrupt.
+    #[test]
+    fn running_lines_from_older_journals_are_ignored() {
+        let path = tmp("running");
+        let body = format!(
+            "{HEADER}\n{}\n{}\n{}\n{}\n{}\n",
+            r#"{"ev":"accepted","key":"0000000000000001","spec":{"op":"submit","id":"a","circuit":"b11"}}"#,
+            r#"{"ev":"running","key":"0000000000000001"}"#,
+            r#"{"ev":"accepted","key":"0000000000000002","spec":{"op":"submit","id":"b","circuit":"b11"}}"#,
+            r#"{"ev":"running","key":"0000000000000002"}"#,
+            r#"{"ev":"done","key":"0000000000000001","code":0,"report":{"wns":1.5}}"#,
+        );
+        fs::write(&path, body).unwrap();
+        let recovery = load(&path);
+        assert_eq!(recovery.corrupt_lines, 0);
+        assert_eq!(recovery.done.len(), 1);
+        assert_eq!(recovery.pending.len(), 1, "job 2 was running at the crash");
+        assert_eq!(recovery.pending[0].key, 2);
     }
 
     #[test]

@@ -533,30 +533,6 @@ impl Server {
         self.shared.cache.stats()
     }
 
-    /// Job accounting: `(submitted, done_ok, done_failed)`.
-    pub fn job_stats(&self) -> (u64, u64, u64) {
-        (
-            self.shared.stats.submitted.load(Ordering::Relaxed),
-            self.shared.stats.done_ok.load(Ordering::Relaxed),
-            self.shared.stats.done_failed.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Durability accounting: `(shed, recovered, deduped, slow_drops)`.
-    pub fn robustness_stats(&self) -> (u64, u64, u64, u64) {
-        (
-            self.shared.stats.shed.load(Ordering::Relaxed),
-            self.shared.stats.recovered.load(Ordering::Relaxed),
-            self.shared.stats.deduped.load(Ordering::Relaxed),
-            self.shared.stats.slow_drops.load(Ordering::Relaxed),
-        )
-    }
-
-    /// The full `stats` frame, as the wire op would report it.
-    pub fn stats_json(&self) -> Value {
-        self.shared.stats_frame()
-    }
-
     /// Stop accepting, let queued jobs drain, and wake everything up.
     /// Idempotent; also triggered by the `shutdown` op.
     pub fn shutdown(&self) {
@@ -617,9 +593,6 @@ fn request_shutdown(shared: &Shared) {
 
 fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.dequeue() {
-        if let (Some(journal), Some(key)) = (&shared.journal, job.key) {
-            journal.running(key);
-        }
         let outcome = jobs::run_job(&job.spec, job.source, &shared.cache);
         if outcome.code == 0 {
             shared.stats.done_ok.fetch_add(1, Ordering::Relaxed);

@@ -61,8 +61,9 @@ fn fault_coverage_maps_are_identical_across_thread_counts() {
             .collect();
         assert_thread_invariant(&format!("{label} detection masks"), || {
             let mut fs = FaultSimulator::new(&netlist);
-            fs.simulate_batch(&netlist, &access, &patterns, &faults.faults, &alive)
+            fs.simulate_batch_wide(&netlist, &access, &patterns, &faults.faults, &alive)
                 .unwrap()
+                .1
                 .to_vec()
         });
     }
